@@ -114,12 +114,8 @@ def is_general_compilable(e: FExpr,
 
 
 def eligible_tier(e: FExpr, gamma: Optional[Dict[str, FType]] = None,
-                  tiers: Optional[Tuple[str, ...]] = None) -> Optional[str]:
-    """Pick the cheapest enabled tier that covers ``e`` (or ``None``).
-
-    ``tiers=None`` defers to the active tiering policy (all tiers)."""
-    if tiers is None:
-        tiers = ALL_TIERS
+                  tiers: Tuple[str, ...] = ALL_TIERS) -> Optional[str]:
+    """Pick the cheapest enabled tier that covers ``e`` (or ``None``)."""
     if TIER_ARITH in tiers and is_arith_compilable(e):
         return TIER_ARITH
     if TIER_GENERAL in tiers and is_general_compilable(e, gamma):
@@ -164,20 +160,13 @@ def _compile_uncached(e: FExpr, tier: str,
 
 
 def compile_term(e: FExpr, gamma: Optional[Dict[str, FType]] = None,
-                 tiers: Optional[Tuple[str, ...]] = None,
+                 tiers: Tuple[str, ...] = ALL_TIERS,
                  optimize: bool = True) -> CompilationResult:
     """Compile ``e`` through the best enabled tier (memoized).
 
-    ``tiers=None`` defers tier selection to the active
-    :class:`repro.tiering.policy.TieringPolicy` (every tier, for the
-    ``compile`` context) -- call sites no longer thread tier tuples by
-    hand.  Raises :class:`~repro.errors.CompileError` when no enabled
-    tier covers ``e``.
+    Raises :class:`~repro.errors.CompileError` when no enabled tier
+    covers ``e``.
     """
-    if tiers is None:
-        from repro.tiering.policy import resolve_tiers
-
-        tiers = resolve_tiers(None, "compile")
     tier = eligible_tier(e, gamma, tiers)
     if tier is None:
         raise CompileError(
@@ -205,7 +194,7 @@ def compile_term(e: FExpr, gamma: Optional[Dict[str, FType]] = None,
 
 def compile_function(lam: Lam,
                      gamma: Optional[Dict[str, FType]] = None,
-                     tiers: Optional[Tuple[str, ...]] = None,
+                     tiers: Tuple[str, ...] = ALL_TIERS,
                      optimize: bool = True) -> CompilationResult:
     """Compile a lambda (the JIT's unit of work)."""
     if not isinstance(lam, Lam) or isinstance(lam, StackLam):

@@ -28,7 +28,7 @@ boundedly by :mod:`repro.equiv` in the tests and benchmarks.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.errors import CompileError
 from repro.f.syntax import (
@@ -60,34 +60,23 @@ def is_compilable(e: FExpr) -> bool:
 
 
 def compile_function(lam: Lam,
-                     tiers: Optional[Tuple[str, ...]] = None) -> Lam:
+                     tiers: Tuple[str, ...] = JIT_TIERS) -> Lam:
     """Compile an eligible lambda to its FT replacement (memoized).
 
     Returns ``lam(x...). ((..)->.. FT component) x...``, a drop-in
-    replacement for the source lambda.  ``tiers=None`` defers to the
-    active :class:`repro.tiering.policy.TieringPolicy` (``jit``
-    context): the historical arithmetic-only JIT unless the policy
-    mode is ``aggressive``.  :class:`CompileError` for anything the
-    enabled tiers do not cover."""
-    if tiers is None:
-        from repro.tiering.policy import resolve_tiers
-
-        tiers = resolve_tiers(None, "jit")
+    replacement for the source lambda.  With the default ``tiers`` this
+    is exactly the historical JIT: arithmetic lambdas only, the same
+    component shape, :class:`CompileError` for anything else."""
     return _pipeline_compile(lam, None, tiers).wrapped
 
 
 def jit_rewrite(e: FExpr,
-                tiers: Optional[Tuple[str, ...]] = None) -> FExpr:
+                tiers: Tuple[str, ...] = JIT_TIERS) -> FExpr:
     """Replace every eligible lambda in ``e`` by its compiled version --
     the paper's picture of a JIT moving a program between multi-language
-    configurations.  Tier eligibility comes from the active tiering
-    policy (``tiers=None``): the historical arithmetic fragment unless
-    the policy mode is ``aggressive``, which also compiles closed
-    higher-order lambdas whole."""
-    if tiers is None:
-        from repro.tiering.policy import resolve_tiers
-
-        tiers = resolve_tiers(None, "jit")
+    configurations.  ``tiers`` selects eligibility: the default is the
+    historical arithmetic fragment; include ``TIER_GENERAL`` to also
+    compile closed higher-order lambdas whole."""
     if isinstance(e, Lam) and not isinstance(e, StackLam) \
             and eligible_tier(e, None, tiers) is not None:
         return compile_term(e, None, tiers).wrapped

@@ -1,14 +1,14 @@
 """Hot-code profiler: attribute machine steps to content-hashed code.
 
-ROADMAP item 4 (profile-guided adaptive tiering) needs to know *which*
-lambdas and TAL blocks are hot, not just how many steps ran.  This
-module adds that attribution layer: the F engines push an extent onto a
-shadow stack at every beta reduction, the T machine tracks the current
-code block, and every machine step charges one unit to whatever extent
-is on top.  Code is identified by **content hash** -- the SHA-1 of its
-pretty-printed form -- so the same lambda observed in different runs,
-workers, or compile tiers aggregates under one key, exactly the
-identity the compile cache and artifact store already use.
+Performance work needs to know *which* lambdas and TAL blocks are hot,
+not just how many steps ran.  This module adds that attribution layer:
+the F engines push an extent onto a shadow stack at every beta
+reduction, the T machine tracks the current code block, and every
+machine step charges one unit to whatever extent is on top.  Code is
+identified by **content hash** -- the SHA-1 of its pretty-printed
+form -- so the same lambda observed in different runs, workers, or
+compile tiers aggregates under one key, exactly the identity the
+compile cache and artifact store already use.
 
 The shadow stack mirrors the machines' own control structure:
 
@@ -221,9 +221,8 @@ PROFILER = Profiler()
 class ProfileSnapshot:
     """A persisted profile: ranked hot-code table + folded stacks.
 
-    This is the artifact the adaptive-tiering policy (ROADMAP item 4)
-    consumes: ``entries`` ranks content hashes by attributed self
-    steps, so "promote everything above N steps" is a one-line query.
+    ``entries`` ranks content hashes by attributed self steps;
+    ``folded`` holds the stacks ``funtal flame`` renders.
     """
 
     entries: List[Dict[str, Any]] = field(default_factory=list)
@@ -275,16 +274,6 @@ class ProfileSnapshot:
         return ProfileSnapshot(entries=entries, folded=folded,
                                total_steps=self.total_steps
                                + other.total_steps)
-
-    def promote(self, threshold: int,
-                kinds: Tuple[str, ...] = ("t",)) -> List[str]:
-        """Digests of code at or above ``threshold`` attributed self
-        steps -- the list ``funtal top --promote-threshold`` emits and
-        :func:`repro.tal.fast.promote_digests` consumes to pre-seed the
-        template JIT (skipping the per-run hot counter)."""
-        return [entry["key"] for entry in self.entries
-                if entry["kind"] in kinds
-                and entry["self_steps"] >= threshold]
 
     def format_table(self, limit: int = 20) -> str:
         """The ``funtal top`` view: rank / self steps / % / kind / hash

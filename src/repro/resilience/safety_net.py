@@ -34,7 +34,7 @@ from repro.f.syntax import (
 )
 from repro.ft.machine import FTMachine, evaluate_ft
 from repro.ft.syntax import StackLam
-from repro.jit.compiler import compile_function
+from repro.jit.compiler import JIT_TIERS, compile_function
 from repro.compile.pipeline import eligible_tier
 from repro.obs.events import OBS
 from repro.resilience.budget import Budget
@@ -114,21 +114,17 @@ class SafetyNetReport:
 
 def jit_rewrite_guarded(
         e: FExpr, quarantine: Optional[Quarantine] = None,
-        tiers: Optional[Tuple[str, ...]] = None
+        tiers: Tuple[str, ...] = JIT_TIERS
 ) -> Tuple[FExpr, List[Lam], SafetyNetReport]:
     """Like :func:`repro.jit.compiler.jit_rewrite`, but faults degrade.
 
     Quarantined lambdas are skipped (left interpreted); a lambda whose
     *compilation* faults is quarantined on the spot and left interpreted.
-    Tier eligibility defers to the active tiering policy when ``tiers``
-    is ``None`` (exactly as in ``jit_rewrite``).  Returns the rewritten
-    program, the source lambdas that were compiled into it (for
-    run-time quarantining), and a report.
+    ``tiers`` selects eligibility exactly as in ``jit_rewrite`` (the
+    default is the historical arithmetic fragment).  Returns the
+    rewritten program, the source lambdas that were compiled into it
+    (for run-time quarantining), and a report.
     """
-    if tiers is None:
-        from repro.tiering.policy import resolve_tiers
-
-        tiers = resolve_tiers(None, "jit")
     q = quarantine if quarantine is not None else QUARANTINE
     report = SafetyNetReport()
     compiled_sources: List[Lam] = []
@@ -185,7 +181,7 @@ def run_guarded(e: FExpr, fuel: Optional[int] = None,
                 heap: Optional[int] = None, depth: Optional[int] = None,
                 trace: bool = False,
                 quarantine: Optional[Quarantine] = None,
-                tiers: Optional[Tuple[str, ...]] = None,
+                tiers: Tuple[str, ...] = JIT_TIERS,
                 tal_engine: Optional[str] = None
                 ) -> Tuple[FExpr, FTMachine, SafetyNetReport]:
     """JIT-rewrite ``e`` and run it under the differential guard.
@@ -197,10 +193,9 @@ def run_guarded(e: FExpr, fuel: Optional[int] = None,
     outcome is identical to never having jitted at all.  Resource
     exhaustion propagates: it is a verdict, not a fault.
 
-    ``tal_engine`` selects the T engine for the *optimistic* run (a
-    promoted digest runs its blocks on the fast tier); the fallback
-    re-run always uses the reference engine, so a fast-tier fault can
-    never decide the answer.
+    ``tal_engine`` selects the T engine for the *optimistic* run; the
+    fallback re-run always uses the reference engine, so a fast-tier
+    fault can never decide the answer.
     """
     q = quarantine if quarantine is not None else QUARANTINE
     rewritten, compiled_sources, report = jit_rewrite_guarded(e, q, tiers)

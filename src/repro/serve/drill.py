@@ -42,10 +42,10 @@ from typing import Any, Dict, List, Optional
 
 from repro.adversarial import adversarial_jobs
 from repro.serve.pool import WorkerPool
-from repro.serve.protocol import Job, JobOptions
+from repro.serve.protocol import Job, JobOptions, JobResult
 from repro.serve.supervisor import SupervisorConfig
 
-__all__ = ["run_serve_drill", "build_corpus"]
+__all__ = ["run_serve_drill", "build_corpus", "tally"]
 
 #: Examples cheap enough to run hundreds of times in a drill.
 _RUN_EXAMPLES = ("fact-f", "fact-t", "two-blocks-1", "two-blocks-2",
@@ -118,6 +118,22 @@ def build_corpus(seed: int, jobs: int, rate: float,
     return corpus
 
 
+def tally(result: JobResult, counts: "collections.Counter[str]") -> None:
+    """Add one result to the drill's ``recovered`` / ``degraded`` /
+    ``shed`` / ``quarantined`` counts.  A job is shed either when its
+    deadline expires before dispatch (``output["shed"]``) or when queue
+    pressure evicts it (``QueueFull``, which sets no such key)."""
+    out = result.output or {}
+    if out.get("recovered"):
+        counts["recovered"] += 1
+    if out.get("degraded"):
+        counts["degraded"] += 1
+    if out.get("shed") or result.error_type == "QueueFull":
+        counts["shed"] += 1
+    if result.error_type == "QuarantinedJob":
+        counts["quarantined"] += 1
+
+
 def run_serve_drill(seed: int = 0, jobs: int = 200, workers: int = 4,
                     rate: float = 0.1, *,
                     default_timeout: float = 3.0,
@@ -141,7 +157,7 @@ def run_serve_drill(seed: int = 0, jobs: int = 200, workers: int = 4,
 
     corpus = build_corpus(seed, jobs, rate, store_dir=store_dir)
     statuses: "collections.Counter[str]" = collections.Counter()
-    recovered = degraded = shed = quarantined = 0
+    counts: "collections.Counter[str]" = collections.Counter()
     lost: List[str] = []
     t0 = time.monotonic()
     try:
@@ -171,15 +187,7 @@ def run_serve_drill(seed: int = 0, jobs: int = 200, workers: int = 4,
                     lost.append(ticket.job.id)
                     continue
                 statuses[result.status] += 1
-                out = result.output or {}
-                if out.get("recovered"):
-                    recovered += 1
-                if out.get("degraded"):
-                    degraded += 1
-                if out.get("shed"):
-                    shed += 1
-                if result.error_type == "QuarantinedJob":
-                    quarantined += 1
+                tally(result, counts)
             stats = pool.stats()
     finally:
         if own_store:
@@ -195,10 +203,10 @@ def run_serve_drill(seed: int = 0, jobs: int = 200, workers: int = 4,
         "statuses": dict(sorted(statuses.items())),
         "lost": len(lost),
         "lost_ids": lost[:10],
-        "recovered": recovered,
-        "degraded": degraded,
-        "shed": shed,
-        "quarantined": quarantined,
+        "recovered": counts["recovered"],
+        "degraded": counts["degraded"],
+        "shed": counts["shed"],
+        "quarantined": counts["quarantined"],
         "mttr_ms": sup.get("mttr_ms", {}),
         "breaker": sup.get("breaker", {}),
         "quarantine": sup.get("quarantine", {}),

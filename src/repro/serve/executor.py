@@ -89,8 +89,7 @@ def _suspend(machine, out_extra: Dict[str, Any],
     output = {"snapshot": snapshot.to_wire(),
               "spent": machine.budget.spent()}
     if job is not None:
-        promoted = bool(job.options.promoted) and not job.options.degraded
-        output["tier"] = _tier_envelope(job, machine, promoted=promoted)
+        output["tier"] = _tier_envelope(job, machine)
     output.update(out_extra)
     return _Suspended(output)
 
@@ -188,24 +187,20 @@ def _outcome_dict(outcome) -> Dict[str, Any]:
     return {"value": str(outcome)}
 
 
-def _tier_envelope(job: Job, machine=None, *, compile_tier=None,
-                   promoted=False, degraded=False,
-                   tal_engine=None) -> Dict[str, Any]:
+def _tier_envelope(job: Job, machine=None, *,
+                   compile_tier=None) -> Dict[str, Any]:
     """The effective tier of a serve answer, surfaced in every
-    run/resume envelope so a degraded or demoted answer is
-    distinguishable from a first-class fast one."""
+    run/resume envelope so a degraded answer is distinguishable from a
+    first-class fast one."""
     from repro.f.cek import resolve_engine
     from repro.tal.machine import resolve_tal_engine
 
     f_engine = getattr(machine, "engine", None) \
         or resolve_engine(job.options.engine)
-    tal = getattr(machine, "tal_engine", None) if machine is not None \
-        else None
-    if tal is None:
-        tal = resolve_tal_engine(tal_engine if tal_engine is not None
-                                 else job.options.tal_engine)
+    tal = getattr(machine, "tal_engine", None) \
+        or resolve_tal_engine(job.options.tal_engine)
     return {"f_engine": f_engine, "compile_tier": compile_tier,
-            "tal_engine": tal, "promoted": bool(promoted and not degraded)}
+            "tal_engine": tal}
 
 
 def _do_run(job: Job, progress: Optional[Progress] = None) -> Dict[str, Any]:
@@ -213,39 +208,14 @@ def _do_run(job: Job, progress: Optional[Progress] = None) -> Dict[str, Any]:
 
     node, is_component = _resolve_program(job)
     trace = job.options.trace
-    promoted = bool(job.options.promoted) and not job.options.degraded
-    payload = job.options.tiering if promoted else None
-    tal_engine = job.options.tal_engine
-    if promoted:
-        from repro.tiering.promote import apply_promotion
-
-        apply_promotion(payload)
-        if tal_engine is None:
-            # The receipt certifies the fast T tier for this digest.
-            tal_engine = "fast"
-
-    # A promoted expression whose receipt covers a compile tier runs
-    # under the same guarded-JIT envelope as ``options.jit`` (the PR 3
-    # safety net stays the demotion backstop); checkpointed runs stay
-    # on the plain machine, whose state is snapshottable.
-    guard_tiers = None
-    if promoted and not is_component and not job.options.checkpoint \
-            and not job.options.checkpoint_every:
-        from repro.tiering.promote import guarded_tiers
-
-        guard_tiers = guarded_tiers(payload)
-
-    if (job.options.jit or guard_tiers is not None) and not is_component \
-            and not job.options.degraded:
+    if job.options.jit and not is_component and not job.options.degraded:
+        from repro.jit.compiler import JIT_TIERS
         from repro.resilience.safety_net import run_guarded
-        from repro.tiering.policy import resolve_tiers
 
-        tiers = guard_tiers if guard_tiers is not None \
-            else resolve_tiers(None, "jit")
         value, machine, report = run_guarded(
             node, job.options.fuel or DEFAULT_FUEL,
             job.options.heap, job.options.depth, trace, None,
-            tiers, tal_engine if promoted else job.options.tal_engine)
+            JIT_TIERS, job.options.tal_engine)
         out = {"value": str(value), "jit": report.to_json()}
         degraded_run = bool(getattr(report, "fell_back", False))
         if degraded_run:
@@ -253,15 +223,14 @@ def _do_run(job: Job, progress: Optional[Progress] = None) -> Dict[str, Any]:
         out["steps"] = machine.budget.fuel_used
         compile_tier = None
         if getattr(report, "jitted", 0) and not degraded_run:
-            compile_tier = "general" if "general" in tiers else "arith"
-        out["tier"] = _tier_envelope(
-            job, machine, compile_tier=compile_tier, promoted=promoted,
-            degraded=degraded_run)
+            compile_tier = "arith"
+        out["tier"] = _tier_envelope(job, machine,
+                                     compile_tier=compile_tier)
         return out
 
     machine = FTMachine(trace=trace, budget=_job_budget(job),
                         engine=job.options.engine,
-                        tal_engine=tal_engine)
+                        tal_engine=job.options.tal_engine)
     if job.options.checkpoint_every:
         total = job.options.fuel or DEFAULT_FUEL
         machine.budget.refill(min(max(1, job.options.checkpoint_every),
@@ -289,8 +258,7 @@ def _do_run(job: Job, progress: Optional[Progress] = None) -> Dict[str, Any]:
     if job.options.degraded and job.options.jit:
         # Breaker-forced interpreter tier: same answer, no JIT.
         out["degraded"] = True
-    out["tier"] = _tier_envelope(job, machine, promoted=promoted,
-                                 degraded=bool(out.get("degraded")))
+    out["tier"] = _tier_envelope(job, machine)
     if trace:
         from repro.analysis.trace import control_flow_table, format_table
 
@@ -318,18 +286,6 @@ def _do_resume(job: Job,
         from repro.tal.machine import resolve_tal_engine
 
         machine.tal_engine = resolve_tal_engine(job.options.tal_engine)
-    promoted = bool(job.options.promoted) and not job.options.degraded
-    if promoted:
-        # Cross-tier resume: a snapshot taken pre-promotion may land
-        # on a worker where the digest has since been promoted (and
-        # vice versa).  Snapshots are engine-portable, so the restored
-        # machine simply continues at the receipt's tier.
-        from repro.tal.machine import resolve_tal_engine
-        from repro.tiering.promote import apply_promotion
-
-        apply_promotion(job.options.tiering)
-        if job.options.tal_engine is None:
-            machine.tal_engine = resolve_tal_engine("fast")
     fuel = job.options.fuel or DEFAULT_FUEL
     if job.options.checkpoint_every:
         slice_fuel = min(max(1, job.options.checkpoint_every), fuel)
@@ -339,7 +295,7 @@ def _do_resume(job: Job,
         out = _outcome_dict(outcome)
         out["steps"] = used
         out["resumed_from"] = snapshot.digest
-        out["tier"] = _tier_envelope(job, machine, promoted=promoted)
+        out["tier"] = _tier_envelope(job, machine)
         return out
     try:
         outcome = machine.resume(fuel=fuel)
@@ -351,7 +307,7 @@ def _do_resume(job: Job,
     out = _outcome_dict(outcome)
     out["steps"] = machine.budget.fuel_used
     out["resumed_from"] = snapshot.digest
-    out["tier"] = _tier_envelope(job, machine, promoted=promoted)
+    out["tier"] = _tier_envelope(job, machine)
     return out
 
 
@@ -390,15 +346,14 @@ def _do_jit(job: Job) -> Dict[str, Any]:
 
 
 def _do_compile(job: Job) -> Dict[str, Any]:
-    from repro.compile import compile_term, validate_compilation
+    from repro.compile import ALL_TIERS, compile_term, validate_compilation
     from repro.surface.pretty import pretty_component
-    from repro.tiering.policy import resolve_tiers
 
     node, is_component = _resolve_program(job)
     if is_component:
         raise FunTALError("compile jobs take an F term, not a T component")
-    result = compile_term(node, None, resolve_tiers(job.options.tier,
-                                                    "compile"))
+    tiers = ALL_TIERS if job.options.tier is None else (job.options.tier,)
+    result = compile_term(node, None, tiers)
     out: Dict[str, Any] = {
         "assembly": pretty_component(result.component),
         "blocks": result.block_count(),
@@ -499,16 +454,6 @@ def _do_link(job: Job) -> Dict[str, Any]:
     return out
 
 
-def _do_promote(job: Job) -> Dict[str, Any]:
-    """Background tiering work: earn (or reuse) a signed tier receipt
-    for the job's program digest.  Scheduled by the pool-side
-    :class:`repro.tiering.coordinator.TieringCoordinator`; runs at
-    ordinary queue discipline so it never blocks foreground traffic."""
-    from repro.tiering.promote import run_promotion
-
-    return run_promotion(job)
-
-
 _EXECUTORS = {
     "parse": _do_parse,
     "typecheck": _do_typecheck,
@@ -518,7 +463,6 @@ _EXECUTORS = {
     "equiv": _do_equiv,
     "resume": _do_resume,
     "link": _do_link,
-    "promote": _do_promote,
 }
 
 

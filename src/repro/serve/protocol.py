@@ -39,12 +39,9 @@ __all__ = [
 #: remains the historical arithmetic-fragment entry point.  ``link``
 #: builds and links a multi-component manifest (:mod:`repro.link`);
 #: its ``source`` is the manifest JSON, and warm workers reuse the
-#: on-disk artifact store (``options.store``) across jobs.  ``promote``
-#: is background tiering work scheduled by
-#: :mod:`repro.tiering.coordinator`: validate a program's fast tiers
-#: and persist the signed receipt (:mod:`repro.tiering.promote`).
+#: on-disk artifact store (``options.store``) across jobs.
 JOB_KINDS = ("parse", "typecheck", "run", "jit", "compile", "equiv",
-             "resume", "link", "promote")
+             "resume", "link")
 
 #: Every status a result can carry.  ``ok`` is the only cacheable one;
 #: ``rejected`` is produced for malformed requests, for quarantined job
@@ -121,13 +118,6 @@ class JobOptions:
     chaos_rate: float = 0.0             # worker-side FaultPlane rate
     chaos_seed: int = 0                 # worker-side FaultPlane seed
     chaos_seams: Optional[str] = None   # comma-separated seam subset
-    promoted: bool = False              # dispatch-side: the digest holds a
-                                        # verified tier receipt; serve at
-                                        # its best tier
-    tiering: Optional[Dict[str, Any]] = None    # dispatch-side: the receipt
-                                        # payload (t_blocks, jit_threshold,
-                                        # compile_tier) the worker applies
-                                        # before running
 
     #: Back-compat alias for the audited module-level constant
     #: :data:`NON_SEMANTIC_OPTIONS` (defined after the class, which it
@@ -168,9 +158,9 @@ SEMANTIC_OPTIONS = (
 
 #: Options that do not affect the *semantic* result and are therefore
 #: excluded from the content address.  This is the one audited list --
-#: ``test_tiering_lint`` fails when a :class:`JobOptions` field is not
-#: classified in exactly one of the two tuples.  The load-bearing
-#: entries:
+#: ``tests/test_serve_protocol.py::TestJobOptionsPartition`` fails
+#: when a :class:`JobOptions` field is not classified in exactly one of
+#: the two tuples.  The load-bearing entries:
 #:
 #: * ``engine`` -- the two F steppers are observably step-equivalent
 #:   (the differential suite enforces identical values, step counts,
@@ -185,17 +175,12 @@ SEMANTIC_OPTIONS = (
 #: * ``degraded`` -- degraded results never enter the cache (the pool
 #:   skips the put), so the flag staying out of the key cannot poison
 #:   it.
-#: * ``promoted``/``tiering`` -- a promoted run must return exactly
-#:   what the interpreted run returns (that is what the receipt
-#:   certifies, and the safety net + quarantine enforce at runtime),
-#:   so promoted and cold results share cache entries by construction.
 NON_SEMANTIC_OPTIONS = (
     "timeout", "no_cache", "engine", "tal_engine", "store",
     "deadline_ms", "checkpoint_every", "degraded",
     "inject_crash", "inject_sleep", "inject_hang",
     "inject_corrupt", "inject_crash_at",
     "chaos_rate", "chaos_seed", "chaos_seams",
-    "promoted", "tiering",
 )
 
 JobOptions.NON_SEMANTIC = NON_SEMANTIC_OPTIONS

@@ -1,10 +1,15 @@
 """Tests for the ``repro.serve`` wire protocol dataclasses."""
 
+import dataclasses
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.serve.protocol import (
-    JOB_KINDS, Job, JobOptions, JobResult, ProtocolError, decode_line,
-    encode_line, jobs_from_jsonl,
+    JOB_KINDS, NON_SEMANTIC_OPTIONS, SEMANTIC_OPTIONS, Job, JobOptions,
+    JobResult, ProtocolError, decode_line, encode_line, jobs_from_jsonl,
 )
 
 
@@ -72,6 +77,91 @@ class TestJobOptions:
     def test_wire_dict_keeps_operational_knobs(self):
         opts = JobOptions(timeout=2.5)
         assert opts.to_dict() == {"timeout": 2.5}
+
+
+class TestJobOptionsPartition:
+    def test_every_field_classified_exactly_once(self):
+        """Adding a JobOptions field without classifying it (semantic:
+        part of the result-cache key; non-semantic: execution policy
+        only) must fail here."""
+        names = {f.name for f in dataclasses.fields(JobOptions)}
+        semantic = set(SEMANTIC_OPTIONS)
+        non_semantic = set(NON_SEMANTIC_OPTIONS)
+        assert semantic & non_semantic == set(), \
+            "options classified twice"
+        unclassified = names - semantic - non_semantic
+        assert not unclassified, (
+            f"unclassified JobOptions fields {sorted(unclassified)}: add "
+            "each to SEMANTIC_OPTIONS (cache-key-relevant) or "
+            "NON_SEMANTIC_OPTIONS (execution policy) in "
+            "repro.serve.protocol with a rationale")
+        phantom = (semantic | non_semantic) - names
+        assert not phantom, f"classified but nonexistent: {sorted(phantom)}"
+
+    def test_class_constant_is_the_audited_list(self):
+        assert tuple(JobOptions.NON_SEMANTIC) == NON_SEMANTIC_OPTIONS
+
+    def test_cache_key_ignores_exactly_the_non_semantic(self):
+        """The result-cache key must change with any semantic option
+        and with no non-semantic one."""
+        from repro.serve.cache import job_cache_key
+
+        base = Job("run", source="(1 + 2)")
+        key = job_cache_key(base)
+
+        probes = {
+            "fuel": 123, "heap": 44, "depth": 45, "checkpoint": True,
+            "jit": True, "result_type": "unit", "trace": True,
+            "optimize": True, "check": True, "tier": "arith",
+            "validate": True, "ir": True, "seed": 9, "type": "int",
+            "right": "(2 + 2)", "run": False,
+        }
+        for name in SEMANTIC_OPTIONS:
+            job = Job("run", source="(1 + 2)")
+            setattr(job.options, name, probes.get(name, "probe"))
+            assert job_cache_key(job) != key, \
+                f"semantic option {name} must change the cache key"
+
+        non_probes = {
+            "timeout": 9.0, "no_cache": True, "engine": "subst",
+            "tal_engine": "fast", "store": "/tmp/x", "deadline_ms": 5,
+            "checkpoint_every": 10, "degraded": True,
+            "inject_crash": True, "inject_sleep": 1.0,
+            "inject_hang": True, "inject_corrupt": True,
+            "inject_crash_at": 2, "chaos_rate": 0.5, "chaos_seed": 3,
+            "chaos_seams": "jit.run",
+        }
+        for name in NON_SEMANTIC_OPTIONS:
+            job = Job("run", source="(1 + 2)")
+            setattr(job.options, name, non_probes.get(name, "probe"))
+            assert job_cache_key(job) == key, \
+                f"non-semantic option {name} must not change the cache key"
+
+
+class TestRemovedTieringSurface:
+    """Adaptive tiering is gone; its wire and CLI surface is refused,
+    never silently ignored."""
+
+    @pytest.mark.parametrize("options", [{"promoted": True},
+                                         {"tiering": {}}])
+    def test_options_refused(self, options):
+        with pytest.raises(ProtocolError, match="unknown job option"):
+            JobOptions.from_dict(options)
+
+    def test_promote_kind_refused(self):
+        assert "promote" not in JOB_KINDS
+        with pytest.raises(ProtocolError, match="unknown job kind"):
+            Job("promote", source="(1 + 2)")
+
+    def test_serve_tiering_flag_is_a_usage_error(self):
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--tiering", "auto"],
+            capture_output=True, text=True, timeout=60,
+            env={"PYTHONPATH": str(src)})
+        assert proc.returncode == 2
+        assert "--tiering" in proc.stderr
 
 
 class TestJobResult:

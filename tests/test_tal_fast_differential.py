@@ -10,8 +10,8 @@ on every paper example, random well-typed T programs, erased programs,
 budget-exhaustion splits, and cross-engine snapshot resume.
 
 Also covered: the digest-keyed preinstantiation cache through the link
-store, the profiler->JIT promotion hand-off, and the serving layer's
-treatment of ``tal_engine`` as a non-semantic option.
+store and the serving layer's treatment of ``tal_engine`` as a
+non-semantic option.
 """
 
 import re
@@ -309,35 +309,6 @@ class TestJitLockstep:
                         "fast", fuel=1_000_000)
         finally:
             fast.set_jit_threshold(None)
-        counters = obs.OBS.metrics.snapshot()["counters"]
-        assert counters.get("tal.fast.jit.promoted", 0) >= 1
-
-    def test_profiler_promote_hand_off(self):
-        """funtal top --promote-threshold feeds promote_digests: blocks
-        hot in a profiled (reference) run are JITted on first entry in a
-        later fast run, without waiting out the hot counter."""
-        from repro.obs.profile import PROFILER
-
-        build = lambda: App(build_count_t(), (IntE(120),))
-        PROFILER.reset()
-        PROFILER.enable()
-        try:
-            _observe_ft(build, "ref", fuel=1_000_000)
-            snap = PROFILER.snapshot()
-        finally:
-            PROFILER.disable()
-            PROFILER.reset()
-        digests = snap.promote(threshold=50)
-        assert digests, "count loop should be hot"
-        assert all(e["kind"] == "t" for e in snap.entries
-                   if e["key"] in digests)
-        obs.enable(record=False)
-        fast.promote_digests(digests)
-        try:
-            out = _observe_ft(build, "fast", fuel=1_000_000)
-        finally:
-            fast._PROMOTED = None  # drop the seeded set
-        assert out["value"] == "120"
         counters = obs.OBS.metrics.snapshot()["counters"]
         assert counters.get("tal.fast.jit.promoted", 0) >= 1
 
