@@ -7,11 +7,14 @@ Three sections, doubling as the CI gate for the compiler:
   functional factorial and a higher-order combinator program;
 * ``compiled_vs_interpreted`` -- wall time and fuel for the same program
   run interpreted (CEK) and compiled.  The recursive case records the
-  *wrapper-accumulation* overhead documented in ``docs/performance.md``:
-  each recursion level re-crosses the F/T boundary, so compiled fuel is
-  super-linear in depth and no speedup is asserted -- the assertion is
-  value agreement.  The non-recursive higher-order case is the fairer
-  picture of per-call overhead;
+  per-level boundary tax documented in ``docs/performance.md``: each
+  recursion level re-crosses the F/T boundary, so no speedup is asserted
+  -- the assertion is value agreement.  The non-recursive higher-order
+  case is the fairer picture of per-call overhead;
+* ``fuel_growth`` -- the linearity gate: compiled ``fact_f`` fuel at
+  ``n=12`` is at most 2.5x its fuel at ``n=6``.  Fuel is deterministic,
+  so this gate is exact; it fails if boundary round trips stop
+  collapsing and wrappers pile up again (fuel then doubles per level);
 * ``paper_examples`` -- the gate: every closed pure-F paper example must
   compile, typecheck, and pass translation validation.  A regression
   that breaks compilation or validation of a paper example fails CI
@@ -27,6 +30,7 @@ Three sections, doubling as the CI gate for the compiler:
 """
 
 import json
+import math
 import pathlib
 import sys
 import time
@@ -53,7 +57,8 @@ _BENCH_PATH = _REPO_ROOT / "BENCH_compile.json"
 _RESULTS = {}
 
 ROUNDS = 5
-FACT_N = 6          # compiled factorial fuel grows super-linearly in n
+FACT_N = 6
+FUEL_GROWTH_MAX = 2.5   # fuel(12) / fuel(6); linear fuel reads ~1.9
 RUN_FUEL = 10_000_000
 _RECURSION_LIMIT = 100_000   # nested F<->T machines need host headroom
 
@@ -185,10 +190,10 @@ def test_compiled_vs_interpreted(record):
     _RESULTS["compiled_vs_interpreted"] = rows
 
     # The residual fact_f gap is a first-class known regression until
-    # closed: the fast tier removed the T-side overhead, but each of the
-    # ~500 F/T boundary crossings still pays omega substitution into the
-    # imported F payload on BOTH engines, so whole-program wall-clock
-    # stays boundary-bound.  asserted:false -- this artifact records the
+    # closed: round-trip collapse made the crossings linear in n, but
+    # each crossing still pays omega substitution into the imported F
+    # payload on BOTH engines, so whole-program wall-clock stays
+    # boundary-bound.  asserted:false -- this artifact records the
     # trajectory; the gate on the fast tier itself is test_fast_tier_gate.
     _RESULTS.setdefault("known_regressions", []).append({
         "name": "fact_f_boundary_gap",
@@ -197,11 +202,36 @@ def test_compiled_vs_interpreted(record):
         "threshold": 240.0,    # a 10x shrink of the ~2400x seed gap
         "asserted": False,
         "first_observed": 2400.0,
-        "cause": "per-crossing Import-payload substitution and F/T "
-                 "value translation dominate compiled fact_f; both "
-                 "engines pay it, so a faster T tier cannot close it "
-                 "-- needs cheaper boundaries (ROADMAP item 4)",
+        "cause": "per-crossing cost: every F/T crossing of compiled "
+                 "fact_f instantiates a code block "
+                 "(instantiate_code_block) and substitutes into its "
+                 "imported F payload (subst_tal_in_fexpr); both engines "
+                 "pay it, so a faster T tier cannot close it -- needs "
+                 "cheaper crossings or known calls kept in T "
+                 "(ROADMAP item 3)",
     })
+
+
+def test_fact_f_fuel_growth(record):
+    """Compiled recursion is linear in fuel: doubling the depth of
+    compiled fact_f at most 2.5x its fuel."""
+    compiled = compile_term(build_fact_f()).wrapped
+    fuel = {}
+    for n in (6, 12):
+        value, fuel[n] = _run(App(compiled, (IntE(n),)))
+        assert value == IntE(math.factorial(n))
+    ratio = fuel[12] / fuel[6]
+    _RESULTS["fuel_growth"] = {
+        "fact_f_fuel_6": fuel[6],
+        "fact_f_fuel_12": fuel[12],
+        "ratio": round(ratio, 3),
+        "max_ratio": FUEL_GROWTH_MAX,
+    }
+    record(f"compiled fact_f fuel: n=6 {fuel[6]}, n=12 {fuel[12]} "
+           f"({ratio:.2f}x)")
+    assert ratio <= FUEL_GROWTH_MAX, (
+        f"compiled fact_f fuel grew {ratio:.2f}x from n=6 to n=12 "
+        f"(need <= {FUEL_GROWTH_MAX}x): boundary wrappers are piling up")
 
 
 def test_fast_tier_gate(record):

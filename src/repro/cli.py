@@ -249,6 +249,21 @@ def cmd_compile(args: argparse.Namespace) -> int:
         return 2
     tiers = ALL_TIERS if args.tier is None else (args.tier,)
     result = compile_term(node, None, tiers)
+    if args.run and args.apply:
+        if not isinstance(result.ty, FArrow):
+            print(f"error: --apply needs a function, but the compiled term "
+                  f"has type {result.ty}", file=sys.stderr)
+            return 2
+        if len(args.apply) != len(result.ty.params):
+            print(f"error: the compiled term has type {result.ty}: it takes "
+                  f"{len(result.ty.params)} argument(s), --apply gave "
+                  f"{len(args.apply)}", file=sys.stderr)
+            return 2
+    elif args.run and isinstance(result.ty, FArrow) \
+            and isinstance(node, Lam):
+        print("(not running: the compiled term is a function; pass "
+              "--apply ARG per argument)", file=sys.stderr)
+        return 2
     print(f"tier: {result.tier}")
     print(f"type: {result.ty}")
     print(f"blocks: {result.block_count()}")
@@ -301,11 +316,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
         if args.apply:
             arguments = tuple(parse_fexpr(a) for a in args.apply)
             program = App(program, arguments)
-        elif isinstance(result.ty, FArrow) and isinstance(node, Lam):
-            print()
-            print("(not running: the compiled term is a function; pass "
-                  "--apply ARG per argument)", file=sys.stderr)
-            return 2
         # Compiled closures nest an F evaluator per boundary crossing,
         # so recursive runs need more host stack than the default (see
         # docs/performance.md).

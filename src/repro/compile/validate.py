@@ -19,9 +19,9 @@ validation) on three independent axes:
    contextual-equivalence observer: F application contexts, T
    application contexts, eta-expansions), bounded by fuel.
 
-Compiled code pays a constant-factor (and, for closures materialized
-inside recursion, super-linear -- see ``docs/performance.md``) fuel
-overhead over the CEK source, so a shared fuel bound would flag correct
+Compiled code pays a constant-factor fuel overhead per call (per
+recursion level for closures materialized inside recursion -- see
+``docs/performance.md``) over the CEK source, so a shared fuel bound would flag correct
 but slower artifacts as divergent.  When exactly one side exhausts its
 budget, the check retries that side with ``slack``-times the fuel
 before calling the pair a counterexample: a budget artifact then halts

@@ -24,11 +24,25 @@ Stack-modifying lambdas (elided in the paper's figure, "similar") follow
 the same shape but must ferry the visible stack prefix through registers to
 re-arrange the continuation past it; this bounds the supported arity by the
 register count (see :func:`build_stack_lambda_wrapper`).
+
+Round trips collapse.  Translating a value that is itself the wrapper the
+*opposite* direction built at the *same* plain arrow type unwraps it instead
+of wrapping it again: ``tauFT`` of a ``TFtau`` lambda block yields the
+original lambda, and ``TFtau`` of a ``tauFT`` call-back lambda yields the
+original code pointer.  This is the round-trip law ``FT_tau(TF_tau(v)) ~ v``
+(and its mirror), which the logical relation of Thm 5.1 gives for the Fig 10
+wrappers; without it every crossing of a recursive compiled closure wraps a
+wrapper, and work grows exponentially with recursion depth.  Recognition is
+exact structural equality with the wrapper rebuilt at the requested type (up
+to the name of the stack variable a call-back's ``protect`` binds) -- never
+object identity (the CEK engine reifies values) and never a side table
+(checkpoints pickle memory) -- so a wrapper at another type, any near-miss
+shape, and every stack-modifying arrow still get a fresh wrapper.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import MachineError
 from repro.obs.events import OBS
@@ -107,6 +121,9 @@ def f_to_t(v: FExpr, ty: FType, mem: Memory) -> WordValue:
     if isinstance(ty, FArrow):
         if not isinstance(v, Lam):
             raise MachineError(f"TF[arrow] applied to {v}")
+        w = _unwrap_call_back(v, ty, mem)
+        if w is not None:
+            return w
         block = build_lambda_wrapper(v, ty)
         return WLoc(mem.alloc(block, BOX, base="lam"))
     raise MachineError(f"no value translation into T at type {ty}")
@@ -258,6 +275,10 @@ def t_to_f(w: WordValue, ty: FType, mem: Memory) -> FExpr:
             raise MachineError(
                 f"FT[lump]: {w.loc} is not a mutable tuple")
         return LumpVal(w.loc)
+    if isinstance(ty, FArrow):
+        v = _unwrap_lambda_wrapper(w, ty, mem)
+        if v is not None:
+            return v
     if isinstance(ty, (FArrow, FStackArrow)):
         return build_call_back_lambda(w, ty, mem)
     raise MachineError(f"no value translation into F at type {ty}")
@@ -271,6 +292,27 @@ def build_call_back_lambda(w: WordValue, ty: FArrow, mem: Memory) -> Lam:
     argument, install a fresh halting continuation ``l_end``, and ``call``
     ``w``.  ``l_end`` is allocated in ``mem`` here, at translation time.
     """
+    lend = mem.alloc(_end_block(ty), BOX, base="lend")
+    return _call_back_lambda(w, ty, lend)
+
+
+def _end_block(ty: FArrow) -> HCode:
+    """The halting continuation block ``l_end`` a call-back lambda
+    installs: it halts with the callee's result."""
+    phi_out = tuple(ty.phi_out) if isinstance(ty, FStackArrow) else ()
+    result_t = type_translation(ty.result)
+    out_stack = StackTy(phi_out, ZETA)
+    return HCode(
+        (DeltaBind(KIND_ZETA, ZETA),),
+        RegFileTy.of(r1=result_t), out_stack,
+        QEnd(result_t, out_stack),
+        seq(Halt(result_t, out_stack, "r1")))
+
+
+def _call_back_lambda(w: WordValue, ty: FArrow, lend: Loc,
+                      zeta: str = ZETA) -> Lam:
+    """The call-back lambda for ``w`` with its halting block at ``lend``;
+    ``zeta`` names the stack variable its ``protect`` binds."""
     if isinstance(ty, FStackArrow):
         phi_in, phi_out = tuple(ty.phi_in), tuple(ty.phi_out)
     else:
@@ -278,33 +320,85 @@ def build_call_back_lambda(w: WordValue, ty: FArrow, mem: Memory) -> Lam:
     n = len(ty.params)
     result_t = type_translation(ty.result)
     param_ts = tuple(type_translation(p) for p in ty.params)
-    out_stack = StackTy(phi_out, ZETA)
-
-    hend = HCode(
-        (DeltaBind(KIND_ZETA, ZETA),),
-        RegFileTy.of(r1=result_t), out_stack,
-        QEnd(result_t, out_stack),
-        seq(Halt(result_t, out_stack, "r1")))
-    lend = mem.alloc(hend, BOX, base="lend")
 
     params = tuple((f"x{i}", ty.params[i - 1]) for i in range(1, n + 1))
-    instrs: List = [Protect(phi_in, ZETA)]
+    instrs: List = [Protect(phi_in, zeta)]
     for i in range(1, n + 1):
         # Protect the whole current stack: the imported expression is just
         # a variable reference and touches nothing.
         protected = StackTy(
-            tuple(reversed(param_ts[:i - 1])) + phi_in, ZETA)
+            tuple(reversed(param_ts[:i - 1])) + phi_in, zeta)
         instrs.append(Import("r1", protected, ty.params[i - 1],
                              Var(f"x{i}")))
         instrs.append(Salloc(1))
         instrs.append(Sst(0, "r1"))
-    instrs.append(Mv("ra", TyApp(WLoc(lend), (StackTy(phi_out, ZETA),))))
+    instrs.append(Mv("ra", TyApp(WLoc(lend), (StackTy(phi_out, zeta),))))
     comp = Component(InstrSeq(
         tuple(instrs),
-        Call(w, StackTy((), ZETA),
-             QEnd(result_t, StackTy(phi_out, ZETA)))))
+        Call(w, StackTy((), zeta),
+             QEnd(result_t, StackTy(phi_out, zeta)))))
     body = Boundary(ty.result, comp,
                     StackDelta(pops=len(phi_in), pushes=phi_out))
     if isinstance(ty, FStackArrow):
         return StackLam(params, body, phi_in, phi_out)
     return Lam(params, body)
+
+
+# ---------------------------------------------------------------------------
+# Round-trip collapse: FT_tau(TF_tau(v)) ~ v and TF_tau(FT_tau(w)) ~ w
+# ---------------------------------------------------------------------------
+
+def _unwrap_lambda_wrapper(w: WordValue, ty: FArrow,
+                           mem: Memory) -> Optional[Lam]:
+    """The lambda ``v`` if ``w`` points at exactly
+    ``build_lambda_wrapper(v, ty)``, else ``None``."""
+    if w.__class__ is not WLoc:
+        return None
+    cell = mem.heap.get(w.loc)
+    if cell is None or cell.nu != BOX or cell.value.__class__ is not HCode:
+        return None
+    instrs = cell.value.instrs.instrs
+    if len(instrs) != 5:
+        return None
+    imp = instrs[2]
+    if imp.__class__ is not Import or imp.expr.__class__ is not App:
+        return None
+    v = imp.expr.fn
+    if not isinstance(v, Lam) or build_lambda_wrapper(v, ty) != cell.value:
+        return None
+    if OBS.enabled:
+        OBS.metrics.inc("ft.translate.collapsed")
+    return v
+
+
+def _unwrap_call_back(v: Lam, ty: FArrow,
+                      mem: Memory) -> Optional[WordValue]:
+    """The code pointer ``w`` if ``v`` is exactly the call-back lambda
+    ``build_call_back_lambda(w, ty, mem)`` built, with its ``l_end`` still
+    bound to the expected halting block, else ``None``."""
+    body = v.body
+    if v.__class__ is not Lam or body.__class__ is not Boundary:
+        return None
+    seq_ = body.comp.instrs
+    if seq_.term.__class__ is not Call or not seq_.instrs:
+        return None
+    mv = seq_.instrs[-1]
+    if mv.__class__ is not Mv or mv.u.__class__ is not TyApp \
+            or mv.u.body.__class__ is not WLoc:
+        return None
+    protect = seq_.instrs[0]
+    if protect.__class__ is not Protect:
+        return None
+    lend = mv.u.body.loc
+    w = seq_.term.u
+    if not isinstance(w, WordValue):
+        return None
+    # The F engines may alpha-rename the binder ``protect`` introduces.
+    if _call_back_lambda(w, ty, lend, protect.zeta) != v:
+        return None
+    cell = mem.heap.get(lend)
+    if cell is None or cell.nu != BOX or cell.value != _end_block(ty):
+        return None
+    if OBS.enabled:
+        OBS.metrics.inc("ft.translate.collapsed")
+    return w

@@ -25,6 +25,8 @@ harmless because T type equality is alpha-equivalence
 
 from __future__ import annotations
 
+import functools
+
 from repro.errors import FTTypeError
 from repro.f.syntax import (
     FArrow, FInt, FRec, FTupleT, FType, FTVar, FUnit,
@@ -66,8 +68,14 @@ def arrow_code_type(param_types, result: TalType,
         RegFileTy.of(ra=cont), arg_stack, QReg("ra"))
 
 
+@functools.lru_cache(maxsize=1024)
 def type_translation(ty: FType) -> TalType:
-    """``tauT`` -- translate an F type to its T representation type."""
+    """``tauT`` -- translate an F type to its T representation type.
+
+    Memoized (bounded): every boundary crossing translates the same few
+    types, and handing out one shared result lets the substitution and
+    equality caches downstream hit on identity.
+    """
     if isinstance(ty, FTVar):
         return TVar(ty.name)
     if isinstance(ty, FUnit):

@@ -20,6 +20,7 @@ Canonical counter names used by the instrumentation hooks:
 ``ft.boundary.t_to_f``           T-to-F crossings (``import`` evaluations)
 ``ft.translate.f_to_t``          value translations ``TFtau(v, M)``
 ``ft.translate.t_to_f``          value translations ``tauFT(w, M)``
+``ft.translate.collapsed``       round-trip wrappers unwrapped, not rewrapped
 ``typecheck.t.instr.<op>``       T instruction typing rules, per opcode
 ``typecheck.t.term.<op>``        T terminator typing rules, per opcode
 ``typecheck.t.component``        component checks

@@ -57,6 +57,33 @@ class TestCompile:
         assert main(["compile", path, "--run"]) == 2
         assert "--apply" in capsys.readouterr().err
 
+    def test_apply_to_non_function_is_usage_error(self, capsys):
+        # fact-f is the closed application factF 6: an int, not a function
+        assert main(["compile", "fact-f", "--run", "--apply", "3"]) == 2
+        captured = capsys.readouterr()
+        assert "type int" in captured.err
+        assert "value:" not in captured.out
+
+    def test_apply_arity_mismatch_is_usage_error(
+            self, program_file, capsys):
+        path = program_file("lam (x: int). (x * 3)")
+        assert main(["compile", path, "--run", "--apply", "1",
+                     "--apply", "2"]) == 2
+        assert "takes 1 argument" in capsys.readouterr().err
+
+    def test_compiled_recursion_runs_in_linear_fuel(
+            self, program_file, capsys):
+        # Fig 17's factF at n=12: exponential boundary wrapping would need
+        # far more than 3000 fuel here
+        mu = "mu a. (a) -> (int) -> int"
+        body = (f"lam (f: {mu}). lam (x: int). if0 x {{1}} "
+                "{(((unfold (f)) (f)) ((x - 1)) * x)}")
+        path = program_file(
+            f"lam (x: int). (({body}) (fold[{mu}] ({body}))) (x)")
+        assert main(["compile", path, "--run", "--apply", "12",
+                     "--run-fuel", "3000"]) == 0
+        assert "value: 479001600" in capsys.readouterr().out
+
     def test_component_rejected(self, program_file, capsys):
         path = program_file("(mv r1, 1; halt int, nil {r1}, .)")
         assert main(["compile", path]) == 2
