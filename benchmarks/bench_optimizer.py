@@ -6,7 +6,7 @@ from repro.equiv.checker import check_equivalence
 from repro.f.syntax import App, BinOp, FArrow, FInt, If0, IntE, Lam, Var
 from repro.ft.machine import evaluate_ft
 from repro.ft.syntax import Boundary
-from repro.jit.compiler import compile_function
+from repro.compile import compile_term
 from repro.tal.optimize import optimize_component
 
 INT_ARROW = FArrow((FInt(),), FInt())
@@ -28,6 +28,11 @@ def _sources():
     ]
 
 
+def _unoptimized(source):
+    """The code generator's output before the optimizer post-pass."""
+    return compile_term(source, optimize=False).component
+
+
 def _instr_count(comp):
     return (len(comp.instrs.instrs)
             + sum(len(h.instrs.instrs) for _, h in comp.heap))
@@ -35,8 +40,7 @@ def _instr_count(comp):
 
 def test_optimizer_shrinks_compiled_code(record):
     for name, source in _sources():
-        compiled = compile_function(source)
-        comp = compiled.body.fn.comp
+        comp = _unoptimized(source)
         optimized = optimize_component(comp)
         before, after = _instr_count(comp), _instr_count(optimized)
         record(f"optimizer {name}: {before} -> {after} instructions "
@@ -46,11 +50,10 @@ def test_optimizer_shrinks_compiled_code(record):
 
 def test_optimizer_preserves_equivalence(record):
     for name, source in _sources():
-        compiled = compile_function(source)
         optimized = Lam(
-            compiled.params,
+            source.params,
             App(Boundary(INT_ARROW,
-                         optimize_component(compiled.body.fn.comp)),
+                         optimize_component(_unoptimized(source))),
                 (Var("x"),)))
         report = check_equivalence(source, optimized, INT_ARROW,
                                    fuel=25_000, max_contexts=8)
@@ -59,8 +62,7 @@ def test_optimizer_preserves_equivalence(record):
 
 
 def test_bench_optimizer_pass(benchmark):
-    compiled = compile_function(_sources()[1][1])
-    comp = compiled.body.fn.comp
+    comp = _unoptimized(_sources()[1][1])
 
     def optimize():
         return optimize_component(comp)
@@ -71,11 +73,10 @@ def test_bench_optimizer_pass(benchmark):
 
 def test_bench_optimized_execution(benchmark):
     name, source = _sources()[1]
-    compiled = compile_function(source)
     optimized = Lam(
-        compiled.params,
+        source.params,
         App(Boundary(INT_ARROW,
-                     optimize_component(compiled.body.fn.comp)),
+                     optimize_component(_unoptimized(source))),
             (Var("x"),)))
     program = App(optimized, (IntE(5),))
 

@@ -5,8 +5,8 @@ The paper's section 6 frames JIT correctness as: every replacement of a
 high-level component by compiled assembly must be a contextual
 equivalence in FT.  This script is that loop, executable:
 
-1. take an F function in the arithmetic fragment;
-2. compile it to a multi-block T component (repro.jit);
+1. take an F function the JIT would pick (first-order, all ``int``);
+2. compile it to a multi-block T component (repro.compile);
 3. show the generated assembly;
 4. check the equivalence obligation with the differential checker.
 """
@@ -15,7 +15,7 @@ from repro.equiv.checker import check_equivalence
 from repro.f.syntax import App, BinOp, FArrow, FInt, If0, IntE, Lam, Var
 from repro.ft.machine import evaluate_ft
 from repro.ft.typecheck import check_ft_expr
-from repro.jit.compiler import compile_function, jit_rewrite
+from repro.compile import compile_function, jit_rewrite
 from repro.surface.pretty import pretty_component
 
 
@@ -27,8 +27,8 @@ def main() -> None:
     print("=== source F function ===")
     print(source)
 
-    compiled = compile_function(source)
-    comp = compiled.body.fn.comp
+    result = compile_function(source)
+    compiled, comp = result.wrapped, result.component
     print()
     print(f"=== compiled to {len(comp.heap)} basic blocks ===")
     print(pretty_component(comp))

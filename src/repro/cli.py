@@ -194,47 +194,10 @@ def cmd_equiv(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_jit(args: argparse.Namespace) -> int:
-    from repro.f.syntax import Lam
-    from repro.jit.compiler import compile_function, is_compilable
-    from repro.surface.parser import parse_fexpr
-    from repro.tal.optimize import optimize_component
-
-    source = parse_fexpr(_load(args.file))
-    if not is_compilable(source):
-        print("error: not a compilable lambda (first-order arithmetic "
-              "fragment: int parameters; literals, parameters, + - *, "
-              "if0)", file=sys.stderr)
-        return 2
-    compiled = compile_function(source)
-    comp = compiled.body.fn.comp
-    if args.optimize:
-        comp = optimize_component(comp)
-    from repro.surface.pretty import pretty_component
-
-    print(pretty_component(comp))
-    if args.check:
-        from repro.equiv.checker import check_equivalence
-        from repro.f.typecheck import typecheck as f_typecheck
-        from repro.ft.syntax import Boundary
-        from repro.f.syntax import App, Var
-
-        rebuilt = Lam(compiled.params,
-                      App(Boundary(compiled.body.fn.ty, comp),
-                          tuple(Var(x) for x, _ in compiled.params)))
-        report = check_equivalence(source, rebuilt, f_typecheck(source),
-                                   fuel=args.fuel)
-        print()
-        print(f"equivalence obligation: {report}")
-        if not report.equivalent:
-            return 3
-    return 0
-
-
 def cmd_compile(args: argparse.Namespace) -> int:
     import sys as _sys
 
-    from repro.compile import ALL_TIERS, compile_term, validate_compilation
+    from repro.compile import compile_term, validate_compilation
     from repro.f.syntax import App, FArrow, Lam
     from repro.surface.parser import parse_fexpr
 
@@ -247,8 +210,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
         print("error: compile takes an F term, not a T component",
               file=sys.stderr)
         return 2
-    tiers = ALL_TIERS if args.tier is None else (args.tier,)
-    result = compile_term(node, None, tiers)
+    result = compile_term(node)
     if args.run and args.apply:
         if not isinstance(result.ty, FArrow):
             print(f"error: --apply needs a function, but the compiled term "
@@ -580,11 +542,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _jit_cache_stats() -> Dict:
-    """The JIT's compile cache (a shared :class:`repro.serve.cache.LRUCache`)
-    as a stats dict, without forcing the jit import if it never ran."""
+    """The compile cache (a :class:`repro.caching.LRUCache`) as a stats
+    dict, without forcing the compiler import if it never ran."""
     import sys as _sys
 
-    compiler = _sys.modules.get("repro.jit.compiler")
+    compiler = _sys.modules.get("repro.compile.pipeline")
     if compiler is None:
         return {"size": 0, "maxsize": 0, "hits": 0, "misses": 0,
                 "evictions": 0}
@@ -771,8 +733,6 @@ def _job_from_args(args: argparse.Namespace):
         jit=getattr(args, "jit", False),
         timeout=args.timeout,
         result_type=args.result_type, trace=getattr(args, "trace", False),
-        optimize=getattr(args, "optimize", False),
-        check=getattr(args, "check", False),
         seed=getattr(args, "seed", 0),
         type=getattr(args, "type", None),
         right=_load(args.right) if getattr(args, "right", None) else None,
@@ -988,7 +948,7 @@ def _chaos_one(name: str, build, reference: str, seed: int, rate: float,
     """
     from repro.errors import InjectedFault, SnapshotError
     from repro.ft.machine import FTMachine
-    from repro.jit.compiler import clear_compile_cache
+    from repro.compile.pipeline import clear_compile_cache
     from repro.resilience.chaos import FaultPlane
     from repro.resilience.safety_net import Quarantine, run_guarded
 
@@ -1192,26 +1152,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_eq.add_argument("--seed", type=int, default=0)
     p_eq.set_defaults(fn=cmd_equiv)
 
-    p_jit = sub.add_parser(
-        "jit", help="compile an F lambda to typed assembly")
-    p_jit.add_argument("file")
-    p_jit.add_argument("--optimize", action="store_true",
-                       help="run the peephole optimizer on the result")
-    p_jit.add_argument("--check", action="store_true",
-                       help="discharge the equivalence obligation")
-    p_jit.add_argument("--fuel", type=int, default=25_000)
-    p_jit.set_defaults(fn=cmd_jit)
-
     p_comp = sub.add_parser(
         "compile",
-        help="compile a whole F term to typed assembly (tiered "
-             "pipeline with translation validation)")
+        help="compile a whole F term to typed assembly (with "
+             "optional translation validation)")
     p_comp.add_argument("target",
                         help="an F source file, '-' for stdin, or a "
                              "paper-example name (e.g. fact-f)")
-    p_comp.add_argument("--tier", choices=["arith", "general"],
-                        default=None,
-                        help="force a tier (default: cheapest eligible)")
     p_comp.add_argument("--ir", action="store_true",
                         help="also print the closure-conversion IR")
     p_comp.add_argument("--validate", action="store_true",
@@ -1392,8 +1339,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_sub.add_argument("file", nargs="?",
                        help="program file ('-' for stdin)")
     p_sub.add_argument("--kind", default="run",
-                       choices=("parse", "typecheck", "run", "jit",
-                                "equiv"))
+                       choices=("parse", "typecheck", "run", "equiv"))
     p_sub.add_argument("--example", help="built-in example instead of FILE")
     p_sub.add_argument("--host", default="127.0.0.1")
     p_sub.add_argument("--port", type=int, default=4017)
@@ -1409,8 +1355,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                        help="per-job wall-clock seconds")
     p_sub.add_argument("--result-type", default="int")
     p_sub.add_argument("--trace", action="store_true")
-    p_sub.add_argument("--optimize", action="store_true")
-    p_sub.add_argument("--check", action="store_true")
     p_sub.add_argument("--seed", type=int, default=0)
     p_sub.add_argument("--type", help="equiv: the common F type")
     p_sub.add_argument("--right", help="equiv: right-hand program file")

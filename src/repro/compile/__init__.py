@@ -12,7 +12,11 @@ The pipeline (see ``docs/compiler.md``):
    become static heap blocks, captured lambdas materialize environment
    tuples at run time through ``import``.
 4. **Optimize** (:mod:`repro.tal.optimize`) -- jump threading and
-   stack-traffic collapse as a post-pass (general tier only).
+   stack-traffic collapse as a post-pass.
+
+The JIT (paper sec 6) uses the same compiler: :func:`jit_rewrite`
+swaps every lambda :func:`is_jit_eligible` accepts for its compiled
+replacement.
 
 Translation validation lives in :mod:`repro.compile.validate`: every
 compiled component is typechecked, differentially executed against the
@@ -21,23 +25,21 @@ source lambda instead of shipping wrong code.
 """
 
 from repro.errors import CompileError
-from repro.compile.arith import compile_arith, is_arith_compilable
 from repro.compile.closure import ClosProgram, closure_convert
 from repro.compile.codegen import generate_expr, generate_function
 from repro.compile.names import NameSupply
 from repro.compile.pipeline import (
-    ALL_TIERS, COMPILE_CACHE, CompilationResult, TIER_ARITH, TIER_GENERAL,
-    clear_compile_cache, compile_function, compile_term, eligible_tier,
-    is_general_compilable,
+    COMPILE_CACHE, CompilationResult, TIER_GENERAL, clear_compile_cache,
+    compile_function, compile_term, is_general_compilable, is_jit_eligible,
+    jit_rewrite,
 )
 
 __all__ = [
     "CompileError", "NameSupply", "ClosProgram", "closure_convert",
-    "compile_arith", "is_arith_compilable", "generate_expr",
-    "generate_function", "ALL_TIERS", "TIER_ARITH", "TIER_GENERAL",
+    "generate_expr", "generate_function", "TIER_GENERAL",
     "COMPILE_CACHE", "CompilationResult", "clear_compile_cache",
-    "compile_function", "compile_term", "eligible_tier",
-    "is_general_compilable", "validate_compilation",
+    "compile_function", "compile_term", "is_general_compilable",
+    "is_jit_eligible", "jit_rewrite", "validate_compilation",
 ]
 
 

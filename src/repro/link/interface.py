@@ -47,8 +47,8 @@ class ComponentInterface:
 
     ``imports`` is the free-variable typing the component was built
     against (name, F type), in name order; ``digest`` is the content
-    address of the stored artifact; ``tier`` is the compilation tier
-    (``arith``/``general``) or ``handwritten`` for FT terms taken as-is.
+    address of the stored artifact; ``tier`` is ``general`` for compiled
+    components or ``handwritten`` for FT terms taken as-is.
     """
 
     name: str

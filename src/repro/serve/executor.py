@@ -15,11 +15,8 @@ Job kinds mirror the CLI subcommands:
                ``options.result_type``
 ``run``        evaluate under ``options.fuel``; reports value/halt word,
                machine steps consumed, optionally the control-flow table
-``jit``        compile an F lambda to typed assembly (``options.optimize``
-               / ``options.check`` as in ``funtal jit``)
-``compile``    whole-F compilation through the tiered pipeline
-               (``options.tier`` forces a tier, ``options.ir`` includes
-               the closure-conversion IR, ``options.validate`` runs
+``compile``    whole-F compilation (``options.ir`` includes the
+               closure-conversion IR, ``options.validate`` runs
                translation validation); results are content-addressed
                like every other ``ok`` result
 ``equiv``      bounded contextual-equivalence check of ``source`` vs
@@ -158,13 +155,16 @@ def _drive_slices(job: Job, machine, first: Callable[[], Any],
         try:
             outcome = attempt()
         except FuelExhausted:
-            used += machine.budget.fuel_used
+            # A slice that ran dry executed exactly its fuel: the budget
+            # also counts the refused charge that raised, which never ran.
+            used += min(machine.budget.fuel_used, machine.budget.max_fuel)
             if not machine.suspended:
                 raise
             if used >= total:
                 if job.options.checkpoint:
                     raise _suspend(machine, dict(extra), job) from None
-                raise
+                # Report the overall budget, as the unsliced path does.
+                raise FuelExhausted(total, used + 1) from None
             if progress is not None:
                 snapshot = machine.snapshot()
                 progress({"snapshot": snapshot.to_wire(), "spent": used,
@@ -209,13 +209,13 @@ def _do_run(job: Job, progress: Optional[Progress] = None) -> Dict[str, Any]:
     node, is_component = _resolve_program(job)
     trace = job.options.trace
     if job.options.jit and not is_component and not job.options.degraded:
-        from repro.jit.compiler import JIT_TIERS
+        from repro.compile.pipeline import TIER_GENERAL
         from repro.resilience.safety_net import run_guarded
 
         value, machine, report = run_guarded(
             node, job.options.fuel or DEFAULT_FUEL,
-            job.options.heap, job.options.depth, trace, None,
-            JIT_TIERS, job.options.tal_engine)
+            job.options.heap, job.options.depth, trace,
+            tal_engine=job.options.tal_engine)
         out = {"value": str(value), "jit": report.to_json()}
         degraded_run = bool(getattr(report, "fell_back", False))
         if degraded_run:
@@ -223,7 +223,7 @@ def _do_run(job: Job, progress: Optional[Progress] = None) -> Dict[str, Any]:
         out["steps"] = machine.budget.fuel_used
         compile_tier = None
         if getattr(report, "jitted", 0) and not degraded_run:
-            compile_tier = "arith"
+            compile_tier = TIER_GENERAL
         out["tier"] = _tier_envelope(job, machine,
                                      compile_tier=compile_tier)
         return out
@@ -311,49 +311,14 @@ def _do_resume(job: Job,
     return out
 
 
-def _do_jit(job: Job) -> Dict[str, Any]:
-    from repro.f.syntax import App, Lam, Var
-    from repro.jit.compiler import compile_function, is_compilable
-    from repro.surface.pretty import pretty_component
-
-    node, is_component = _resolve_program(job)
-    if is_component or not is_compilable(node):
-        raise FunTALError(
-            "not a compilable lambda (first-order arithmetic fragment: "
-            "int parameters; literals, parameters, + - *, if0)")
-    compiled = compile_function(node)
-    comp = compiled.body.fn.comp
-    if job.options.optimize:
-        from repro.tal.optimize import optimize_component
-
-        comp = optimize_component(comp)
-    out: Dict[str, Any] = {"assembly": pretty_component(comp),
-                           "blocks": 1 + len(comp.heap)}
-    if job.options.check:
-        from repro.equiv.checker import check_equivalence
-        from repro.f.typecheck import typecheck as f_typecheck
-        from repro.ft.syntax import Boundary
-
-        rebuilt = Lam(compiled.params,
-                      App(Boundary(compiled.body.fn.ty, comp),
-                          tuple(Var(x) for x, _ in compiled.params)))
-        report = check_equivalence(
-            node, rebuilt, f_typecheck(node),
-            fuel=job.options.fuel or 25_000)
-        out["equivalent"] = report.equivalent
-        out["report"] = str(report)
-    return out
-
-
 def _do_compile(job: Job) -> Dict[str, Any]:
-    from repro.compile import ALL_TIERS, compile_term, validate_compilation
+    from repro.compile import compile_term, validate_compilation
     from repro.surface.pretty import pretty_component
 
     node, is_component = _resolve_program(job)
     if is_component:
         raise FunTALError("compile jobs take an F term, not a T component")
-    tiers = ALL_TIERS if job.options.tier is None else (job.options.tier,)
-    result = compile_term(node, None, tiers)
+    result = compile_term(node)
     out: Dict[str, Any] = {
         "assembly": pretty_component(result.component),
         "blocks": result.block_count(),
@@ -458,7 +423,6 @@ _EXECUTORS = {
     "parse": _do_parse,
     "typecheck": _do_typecheck,
     "run": _do_run,
-    "jit": _do_jit,
     "compile": _do_compile,
     "equiv": _do_equiv,
     "resume": _do_resume,

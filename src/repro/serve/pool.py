@@ -47,7 +47,7 @@ Supervision policy (:mod:`repro.serve.supervisor`) layers on top:
 * **circuit breaker** -- worker-fatal attempts are charged to the job's
   *kind*; past a threshold the kind is refused (``overloaded`` with
   ``retry_after_ms``), except ``run`` jobs requesting the JIT, which
-  *degrade* to the interpreter tier instead when the ``jit``/``compile``
+  *degrade* to the interpreter tier instead when the ``compile``
   breaker is the open one;
 * **digest quarantine** -- a job whose retry budget died fatally is
   quarantined by content digest (fault-injection options included), so
@@ -271,10 +271,10 @@ def _preload_executor_deps() -> None:
     full import bill on its first job.  (Spawned workers on non-POSIX
     platforms still import on demand.)"""
     import repro.analysis.trace          # noqa: F401
+    import repro.compile.pipeline        # noqa: F401
     import repro.equiv.checker           # noqa: F401
     import repro.ft.machine              # noqa: F401
     import repro.ft.typecheck            # noqa: F401
-    import repro.jit.compiler            # noqa: F401
     import repro.papers_examples         # noqa: F401
     import repro.surface.parser          # noqa: F401
     import repro.surface.pretty          # noqa: F401
@@ -428,9 +428,8 @@ class WorkerPool:
                 ticket._resolve(hit)
                 return True
         if self._breaker.enabled:
-            if job.kind == "run" and job.options.jit and (
-                    self._breaker.is_open("jit")
-                    or self._breaker.is_open("compile")):
+            if job.kind == "run" and job.options.jit \
+                    and self._breaker.is_open("compile"):
                 # Graceful degradation: the compile tier is poisoned,
                 # the interpreter tier is not -- serve, don't refuse.
                 ticket.degrade = True

@@ -4,10 +4,10 @@ One request or response per line, each a single JSON object.  A request is
 either a *job* (the default when no ``op`` key is present) or a control
 operation (``{"op": "ping"}``, ``{"op": "stats"}``).  A job names one of
 the kinds mirroring the CLI -- ``parse``, ``typecheck``, ``run``,
-``jit``, ``equiv`` -- and supplies the program either inline (``source``,
-surface syntax) or by built-in paper-example name (``example``); the
-sixth kind, ``resume``, instead supplies the ``snapshot`` of a
-fuel-suspended machine from an earlier checkpointing ``run``.
+``compile``, ``equiv``, ``link`` -- and supplies the program either
+inline (``source``, surface syntax) or by built-in paper-example name
+(``example``); the kind ``resume`` instead supplies the ``snapshot`` of
+a fuel-suspended machine from an earlier checkpointing ``run``.
 
 The dataclasses are the single source of truth: the wire dicts, the
 content-address used by :mod:`repro.serve.cache`, and the worker-side
@@ -35,12 +35,11 @@ __all__ = [
 #: The request kinds: six mirroring the CLI subcommands, plus
 #: ``resume``, which continues a fuel-suspended machine from the
 #: content-addressed snapshot a checkpointing ``run`` handed back.
-#: ``compile`` is the whole-F compiler (:mod:`repro.compile`); ``jit``
-#: remains the historical arithmetic-fragment entry point.  ``link``
+#: ``compile`` is the whole-F compiler (:mod:`repro.compile`).  ``link``
 #: builds and links a multi-component manifest (:mod:`repro.link`);
 #: its ``source`` is the manifest JSON, and warm workers reuse the
 #: on-disk artifact store (``options.store``) across jobs.
-JOB_KINDS = ("parse", "typecheck", "run", "jit", "compile", "equiv",
+JOB_KINDS = ("parse", "typecheck", "run", "compile", "equiv",
              "resume", "link")
 
 #: Every status a result can carry.  ``ok`` is the only cacheable one;
@@ -85,9 +84,6 @@ class JobOptions:
     timeout: Optional[float] = None     # wall-clock seconds (pool enforced)
     result_type: str = "int"            # halt type for bare T components
     trace: bool = False                 # run: include the control-flow table
-    optimize: bool = False              # jit: run the peephole optimizer
-    check: bool = False                 # jit: discharge the equiv obligation
-    tier: Optional[str] = None          # compile: force a tier (arith|general)
     validate: bool = False              # compile: translation validation
     ir: bool = False                    # compile: include the closure IR
     seed: int = 0                       # equiv: context-generator seed
@@ -152,8 +148,7 @@ class JobOptions:
 #: content address (:meth:`JobOptions.semantic_dict`).
 SEMANTIC_OPTIONS = (
     "fuel", "heap", "depth", "checkpoint", "jit", "result_type", "trace",
-    "optimize", "check", "tier", "validate", "ir", "seed", "type", "right",
-    "run",
+    "validate", "ir", "seed", "type", "right", "run",
 )
 
 #: Options that do not affect the *semantic* result and are therefore
@@ -235,9 +230,12 @@ class Job:
             raise ProtocolError(
                 "link jobs take 'source' (the manifest JSON), not "
                 "'example'")
-        if self.options.checkpoint and self.options.jit:
+        if self.options.jit and (self.options.checkpoint
+                                 or self.options.checkpoint_every):
+            flag = "checkpoint" if self.options.checkpoint \
+                else "checkpoint_every"
             raise ProtocolError(
-                "options.checkpoint and options.jit are mutually "
+                f"options.{flag} and options.jit are mutually "
                 "exclusive (the guarded JIT re-runs on faults, so its "
                 "machine state is not checkpointable)")
 

@@ -20,7 +20,7 @@ class TestCompile:
         path = program_file("lam (x: int). (x + 1)")
         assert main(["compile", path]) == 0
         out = capsys.readouterr().out
-        assert "tier: arith" in out
+        assert "tier: general" in out
         assert "type: (int) -> int" in out
         assert "ret ra" in out
 
@@ -32,9 +32,9 @@ class TestCompile:
         assert "tier: general" in out
         assert "blocks:" in out
 
-    def test_forced_tier_and_ir(self, program_file, capsys):
+    def test_ir_flag(self, program_file, capsys):
         path = program_file("lam (x: int). (x + 1)")
-        assert main(["compile", path, "--tier", "general", "--ir"]) == 0
+        assert main(["compile", path, "--ir"]) == 0
         out = capsys.readouterr().out
         assert "tier: general" in out
         assert "closure IR:" in out
@@ -90,10 +90,10 @@ class TestCompile:
         assert "F term" in capsys.readouterr().err
 
     def test_ineligible_term_fails_cleanly(self, capsys):
-        # fact-t wraps a T component in boundaries: outside every tier
+        # fact-t wraps a T component in boundaries: outside core F
         assert main(["compile", "fact-t"]) == 1
         err = capsys.readouterr().err
-        assert "no enabled tier" in err
+        assert "the compiler does not cover this term" in err
 
     def test_stdin(self, capsys, monkeypatch):
         import io

@@ -1,10 +1,10 @@
-"""Unit tests for the tiered whole-F compiler (:mod:`repro.compile`).
+"""Unit tests for the whole-F compiler (:mod:`repro.compile`).
 
 ISSUE acceptance pinned here: every closed pure-F paper example and
 every pure-F stdlib prelude combinator compiles to a T component whose
 wrapped form typechecks in FT at the source type -- plus the pipeline's
-own contracts (tier selection, memoization identity, metrics, IR
-pretty-printing, wrapper shape).
+own contracts (which terms it covers, memoization identity, metrics,
+IR pretty-printing, wrapper shape).
 """
 
 import pytest
@@ -20,8 +20,8 @@ from repro.ft.machine import evaluate_ft
 from repro.ft.syntax import Boundary
 from repro.ft.typecheck import check_ft_expr
 from repro.compile.pipeline import (
-    ALL_TIERS, TIER_ARITH, TIER_GENERAL, clear_compile_cache, compile_term,
-    eligible_tier, is_general_compilable,
+    TIER_GENERAL, clear_compile_cache, compile_term, is_general_compilable,
+    is_jit_eligible,
 )
 from repro.papers_examples import example_entries
 from repro.stdlib.prelude import compose, const_, identity, let_, twice
@@ -144,34 +144,37 @@ class TestPreludeCombinators:
 
 
 class TestTierSelection:
-    def test_arith_wins_when_enabled(self):
-        assert eligible_tier(INC) == TIER_ARITH
-        assert compile_term(INC).tier == TIER_ARITH
+    """One compiler: every core-F term compiles through it and reports
+    the ``general`` tier; nothing else has a tier."""
 
-    def test_general_reachable_by_forcing(self):
-        result = compile_term(INC, tiers=(TIER_GENERAL,))
+    def test_first_order_lambda_is_general(self):
+        result = compile_term(INC)
         assert result.tier == TIER_GENERAL
         got, _ = evaluate_ft(App(result.wrapped, (IntE(41),)))
         assert got == IntE(42)
 
     def test_general_covers_what_arith_cannot(self):
+        """Higher-order lambdas lie outside the JIT's first-order
+        fragment (the old arith tier's) but the compiler covers them."""
         ho = Lam((("g", FArrow((FInt(),), FInt())),),
                  App(Var("g"), (IntE(5),)))
-        assert eligible_tier(ho) == TIER_GENERAL
+        assert not is_jit_eligible(ho)
+        assert is_general_compilable(ho)
+        assert compile_term(ho).tier == TIER_GENERAL
 
     def test_no_tier_for_stack_lambda(self):
         from repro.papers_examples.push7 import build
 
-        assert eligible_tier(build()) is None
+        assert not is_general_compilable(build())
         with pytest.raises(CompileError):
             compile_term(build())
 
     def test_no_tier_for_boundary_terms(self):
         _, build = example_entries()["fact-t"]
-        assert eligible_tier(build()) is None
+        assert not is_general_compilable(build())
 
     def test_no_tier_for_open_terms_without_gamma(self):
-        assert eligible_tier(Var("y")) is None
+        assert not is_general_compilable(Var("y"))
         with pytest.raises(CompileError):
             compile_term(BinOp("+", Var("y"), IntE(1)))
 
@@ -189,17 +192,16 @@ class TestPipelineContracts:
         two = compile_term(INC)
         assert two is one
 
-    def test_cache_keys_on_tier_and_optimize(self):
+    def test_cache_keys_on_optimize(self):
         clear_compile_cache()
-        plain = compile_term(INC)
-        forced = compile_term(INC, tiers=(TIER_GENERAL,))
-        unopt = compile_term(INC, tiers=(TIER_GENERAL,), optimize=False)
-        assert forced is not plain
-        assert unopt is not forced
-        assert len(unopt.component.heap) >= len(forced.component.heap)
+        opt = compile_term(INC)
+        unopt = compile_term(INC, optimize=False)
+        assert unopt is not opt
+        assert compile_term(INC, optimize=False) is unopt
+        assert len(unopt.component.heap) >= len(opt.component.heap)
 
     def test_wrapper_shape_lambda(self):
-        result = compile_term(INC, tiers=(TIER_GENERAL,))
+        result = compile_term(INC)
         assert isinstance(result.wrapped, Lam)
         assert isinstance(result.wrapped.body, App)
         assert isinstance(result.wrapped.body.fn, Boundary)
@@ -211,11 +213,9 @@ class TestPipelineContracts:
         assert got == IntE(3)
 
     def test_pretty_ir(self):
-        general = compile_term(INC, tiers=(TIER_GENERAL,))
-        assert "code" in general.pretty_ir() or general.clos is not None
-        arith = compile_term(INC, tiers=(TIER_ARITH,))
-        assert arith.clos is None
-        assert "arith" in arith.pretty_ir()
+        result = compile_term(INC)
+        assert result.clos is not None
+        assert result.pretty_ir() == result.clos.pretty()
 
     def test_compile_metrics(self):
         obs.disable()
@@ -229,7 +229,6 @@ class TestPipelineContracts:
             compile_term(probe)     # cache hit: no second compile count
             counters = obs.OBS.metrics.snapshot()["counters"]
             assert counters.get("compile.compile") == 1
-            assert counters.get("compile.tier.general") == 1
             assert counters.get("jit.compile") == 1
             assert counters.get("jit.cache.miss", 0) >= 1
             assert counters.get("jit.cache.hit", 0) >= 1
@@ -237,6 +236,3 @@ class TestPipelineContracts:
         finally:
             obs.disable()
             obs.reset()
-
-    def test_all_tiers_constant(self):
-        assert ALL_TIERS == (TIER_ARITH, TIER_GENERAL)

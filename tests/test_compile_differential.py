@@ -28,9 +28,9 @@ import pytest
 from repro.errors import (
     FuelExhausted, HeapExhausted, ResourceExhausted, StackDepthExhausted,
 )
-from repro.f.syntax import FInt, IntE, Proj, TupleE
+from repro.f.syntax import FInt, IntE, Lam, Proj, TupleE
 from repro.f.typecheck import typecheck as f_typecheck
-from repro.compile.pipeline import TIER_GENERAL, compile_term
+from repro.compile.pipeline import compile_term, is_jit_eligible
 from repro.equiv.observation import canonical_value
 from repro.ft.machine import FTMachine
 from repro.resilience.budget import Budget
@@ -68,13 +68,14 @@ class TestValueAgreement:
 
     def test_generator_is_well_typed_and_general(self):
         """The input distribution really is whole-F: every term
-        typechecks at int, and a healthy share leaves the arithmetic
-        fragment (escaping closures, tuples, fold)."""
+        typechecks at int, and a healthy share leaves the JIT's
+        first-order arithmetic fragment (escaping closures, tuples,
+        fold)."""
         general = 0
         for seed in VALUE_SEEDS:
             source = _term(seed)
             assert f_typecheck(source) == FInt()
-            if compile_term(source).tier == TIER_GENERAL:
+            if not is_jit_eligible(Lam((("_", FInt()),), source)):
                 general += 1
         assert general >= len(VALUE_SEEDS) // 2
 

@@ -5,7 +5,7 @@ The validator's contract: a correct artifact passes all three axes
 miscompiled artifact fails, reports the disagreement, and quarantines
 the source lambda through the resilience safety net; open compilations
 get the static axis only.  The serve tests pin the job-kind surface:
-semantic options (``tier``/``validate``/``ir``) feed the content
+semantic options (``validate``/``ir``) feed the content
 address, component inputs fail cleanly, and validation failures come
 back as job errors rather than worker crashes.
 """
@@ -13,9 +13,7 @@ back as job errors rather than worker crashes.
 import pytest
 
 from repro.f.syntax import App, BinOp, FArrow, FInt, IntE, Lam, Var
-from repro.compile.pipeline import (
-    CompilationResult, TIER_GENERAL, compile_term,
-)
+from repro.compile.pipeline import CompilationResult, compile_term
 from repro.compile.validate import validate_compilation
 from repro.resilience.safety_net import Quarantine
 from repro.serve.cache import job_cache_key
@@ -29,9 +27,9 @@ INC2 = Lam((("x", FInt()),), BinOp("+", Var("x"), IntE(2)))
 def _forged_result() -> CompilationResult:
     """A deliberately miscompiled artifact: the source computes ``x+1``
     but the installed component computes ``x+2``."""
-    wrong = compile_term(INC2, tiers=(TIER_GENERAL,))
+    wrong = compile_term(INC2)
     return CompilationResult(
-        source=INC, tier=wrong.tier, ty=wrong.ty, wrapped=wrong.wrapped,
+        source=INC, ty=wrong.ty, wrapped=wrong.wrapped,
         component=wrong.component, clos=wrong.clos)
 
 
@@ -39,7 +37,7 @@ class TestValidationPasses:
     def test_arith_lambda(self):
         report = validate_compilation(INC, quarantine=Quarantine())
         assert report.ok and report.typechecked
-        assert report.tier == "arith"
+        assert report.tier == "general"
         assert report.trials >= 1
         assert report.equiv is not None and report.equiv.equivalent
 
@@ -66,7 +64,7 @@ class TestValidationPasses:
     def test_report_json_and_str(self):
         report = validate_compilation(INC, quarantine=Quarantine())
         data = report.to_json()
-        assert data["ok"] is True and data["tier"] == "arith"
+        assert data["ok"] is True and data["tier"] == "general"
         assert data["equivalent"] is True
         assert "validated" in str(report)
 
@@ -116,13 +114,6 @@ class TestServeCompileJobs:
         assert result.output["validation"]["ok"] is True
         assert result.output["ir"]
 
-    def test_forced_tier(self):
-        result = execute_job(Job(
-            kind="compile", source="lam (x:int). x + 1", id="t3",
-            options=JobOptions(tier="general")))
-        assert result.status == "ok"
-        assert result.output["tier"] == "general"
-
     def test_component_input_is_a_clean_error(self):
         result = execute_job(Job(kind="compile", example="two-blocks-1",
                                  id="t4"))
@@ -137,10 +128,8 @@ class TestServeCompileJobs:
                               options=JobOptions(validate=True))),
             job_cache_key(Job(kind="compile", example="fact-f",
                               options=JobOptions(ir=True))),
-            job_cache_key(Job(kind="compile", example="fact-f",
-                              options=JobOptions(tier="general"))),
         }
-        assert len(keys) == 4
+        assert len(keys) == 3
 
     def test_compile_kind_is_registered(self):
         from repro.serve.protocol import JOB_KINDS

@@ -12,7 +12,7 @@ import pytest
 
 from repro.errors import FuelExhausted, InjectedFault
 from repro.ft.machine import evaluate_ft
-from repro.jit.compiler import clear_compile_cache
+from repro.compile import clear_compile_cache
 from repro.papers_examples import resolve_example
 from repro.resilience.chaos import FaultPlane
 from repro.resilience.safety_net import (

@@ -57,18 +57,6 @@ class TestHappyPaths:
             options=JobOptions(result_type="unit")))
         assert result.ok and result.output["type"] == "unit"
 
-    def test_jit(self):
-        result = execute_job(Job("jit", source="lam (x: int). (x + 1)"))
-        assert result.ok
-        assert result.output["blocks"] >= 1
-        assert "jitfn" in result.output["assembly"]
-
-    def test_jit_check(self):
-        result = execute_job(Job(
-            "jit", source="lam (x: int). (x * 2)",
-            options=JobOptions(check=True, fuel=5_000)))
-        assert result.ok and result.output["equivalent"] is True
-
     def test_equiv(self):
         result = execute_job(Job(
             "equiv", source="lam (x: int). (x + x)",
@@ -115,8 +103,3 @@ class TestErrorsAreFolded:
     def test_unknown_example(self):
         result = execute_job(Job("run", example="nope"))
         assert result.status == "error" and "nope" in result.error
-
-    def test_uncompilable_jit(self):
-        result = execute_job(Job("jit", source="(1 + 2)"))
-        assert result.status == "error"
-        assert "not a compilable lambda" in result.error

@@ -112,7 +112,6 @@ class TestJobOptionsPartition:
         probes = {
             "fuel": 123, "heap": 44, "depth": 45, "checkpoint": True,
             "jit": True, "result_type": "unit", "trace": True,
-            "optimize": True, "check": True, "tier": "arith",
             "validate": True, "ir": True, "seed": 9, "type": "int",
             "right": "(2 + 2)", "run": False,
         }
@@ -162,6 +161,37 @@ class TestRemovedTieringSurface:
             env={"PYTHONPATH": str(src)})
         assert proc.returncode == 2
         assert "--tiering" in proc.stderr
+
+
+class TestRemovedJitSurface:
+    """The ``jit`` job kind, its options and ``funtal jit`` duplicated
+    ``compile`` and are gone; their wire and CLI surface is refused,
+    never silently ignored."""
+
+    def test_jit_kind_refused(self):
+        assert "jit" not in JOB_KINDS
+        with pytest.raises(ProtocolError, match="unknown job kind"):
+            Job("jit", source="lam (x: int). (x + 1)")
+
+    @pytest.mark.parametrize("options", [{"tier": "arith"},
+                                         {"optimize": True},
+                                         {"check": True}])
+    def test_options_refused(self, options):
+        with pytest.raises(ProtocolError, match="unknown job option"):
+            JobOptions.from_dict(options)
+
+    @pytest.mark.parametrize("argv", [
+        ["jit", "F"],
+        ["compile", "F", "--tier", "arith"],
+        ["submit", "F", "--kind", "jit"],
+    ], ids=["jit-command", "compile-tier", "submit-kind-jit"])
+    def test_cli_usage_error(self, argv, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
 
 class TestJobResult:
