@@ -43,7 +43,6 @@ from repro.ft.typecheck import check_ft_expr
 from repro.papers_examples import example_entries
 from repro.papers_examples.fig17_factorial import build_count_t, build_fact_f
 from repro.resilience.budget import Budget
-from repro.resilience.safety_net import Quarantine
 from repro.compile.pipeline import (
     clear_compile_cache, compile_term, is_general_compilable,
 )
@@ -301,7 +300,7 @@ def test_paper_examples_gate(record):
         ty, _ = check_ft_expr(result.wrapped)
         assert ty == result.ty, name
         start = time.perf_counter()
-        report = validate_compilation(result, quarantine=Quarantine())
+        report = validate_compilation(result)
         validate_s = time.perf_counter() - start
         assert report.ok, (name, report.failure)
         rows[name] = {

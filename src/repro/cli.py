@@ -532,7 +532,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     else:
         snapshot = obs.OBS.metrics.snapshot()
         snapshot["jit_compile_cache"] = _jit_cache_stats()
-    snapshot["jit_quarantine"] = _jit_quarantine_stats()
     if args.json:
         print(_json.dumps(snapshot, indent=2, sort_keys=True))
     else:
@@ -553,17 +552,6 @@ def _jit_cache_stats() -> Dict:
     return compiler.COMPILE_CACHE.stats()
 
 
-def _jit_quarantine_stats() -> Dict:
-    """The JIT safety net's circuit breaker as a stats dict, without
-    forcing the safety-net import if no guarded run happened."""
-    import sys as _sys
-
-    safety_net = _sys.modules.get("repro.resilience.safety_net")
-    if safety_net is None:
-        return {"size": 0, "hits": 0, "entries": []}
-    return safety_net.QUARANTINE.stats()
-
-
 def _format_snapshot(snapshot: Dict) -> str:
     lines = []
     for section in ("counters", "gauges"):
@@ -578,12 +566,6 @@ def _format_snapshot(snapshot: Dict) -> str:
         lines.append(
             "jit compile cache  size={size}/{maxsize} hits={hits} "
             "misses={misses} evictions={evictions}".format(**jit_cache))
-    quarantine = snapshot.get("jit_quarantine", {})
-    if quarantine.get("size") or quarantine.get("hits"):
-        lines.append("jit quarantine  size={size} hits={hits}".format(
-            **{k: quarantine[k] for k in ("size", "hits")}))
-        for lam, why in quarantine.get("entries", []):
-            lines.append(f"  quarantined {lam}  ({why})")
     if not lines:
         return "(no metrics recorded in this process)"
     return "\n".join(lines)
@@ -730,7 +712,6 @@ def _job_from_args(args: argparse.Namespace):
         fuel=args.fuel, heap=getattr(args, "heap", None),
         depth=getattr(args, "depth", None),
         checkpoint=getattr(args, "checkpoint", False),
-        jit=getattr(args, "jit", False),
         timeout=args.timeout,
         result_type=args.result_type, trace=getattr(args, "trace", False),
         seed=getattr(args, "seed", 0),
@@ -937,33 +918,26 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 def _chaos_one(name: str, build, reference: str, seed: int, rate: float,
                seams, fuel: Optional[int]) -> Tuple[str, Dict]:
-    """One chaos trial: run ``name`` under a seeded fault plane through
-    the guarded JIT, then suspend/checkpoint/resume it at half fuel.
+    """One chaos trial: run ``name`` under a seeded fault plane, then
+    suspend/checkpoint/resume it at half fuel.
 
     Returns ``(verdict, detail)``.  A verdict is *acceptable* when it is
-    ``"ok"`` (right answer despite injected faults -- the safety net
-    absorbed them) or a structured degradation (``fault:*``,
-    ``exhausted:*``, ``snapshot-error``); it is a *failure* when the
-    answer is wrong or a non-FunTAL exception escapes.
+    ``"ok"`` (right answer under the armed plane) or a structured
+    degradation (``fault:*``, ``exhausted:*``, ``snapshot-error``); it
+    is a *failure* when the answer is wrong or a non-FunTAL exception
+    escapes.
     """
     from repro.errors import InjectedFault, SnapshotError
     from repro.ft.machine import FTMachine
-    from repro.compile.pipeline import clear_compile_cache
     from repro.resilience.chaos import FaultPlane
-    from repro.resilience.safety_net import Quarantine, run_guarded
 
     detail: Dict = {}
-    clear_compile_cache()
-    quarantine = Quarantine()
     with FaultPlane(seed=seed, rate=rate, seams=seams) as plane:
-        # Trial 1: full run through the guarded JIT.
+        # Trial 1: full run on the interpreter.
         try:
-            value, _machine, report = run_guarded(
-                build(), fuel=fuel, quarantine=quarantine)
+            value, _machine = evaluate_ft(build(), fuel=fuel)
             verdict = "ok" if str(value) == reference \
                 else f"WRONG-ANSWER:{value}"
-            detail["fell_back"] = report.fell_back
-            detail["quarantined"] = len(quarantine)
         except InjectedFault as err:
             verdict = f"fault:{err.seam}"
         except ResourceExhausted as err:
@@ -1348,9 +1322,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_sub.add_argument("--checkpoint", action="store_true",
                        help="run: suspend with a resumable snapshot on "
                             "fuel exhaustion instead of failing")
-    p_sub.add_argument("--jit", action="store_true",
-                       help="run: execute under the guarded JIT "
-                            "(faults fall back to the interpreter)")
     p_sub.add_argument("--timeout", type=float, default=None,
                        help="per-job wall-clock seconds")
     p_sub.add_argument("--result-type", default="int")

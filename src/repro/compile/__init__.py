@@ -20,8 +20,8 @@ replacement.
 
 Translation validation lives in :mod:`repro.compile.validate`: every
 compiled component is typechecked, differentially executed against the
-CEK engine, and boundedly equivalence-checked; failures quarantine the
-source lambda instead of shipping wrong code.
+CEK engine, and boundedly equivalence-checked; a failure is reported
+instead of shipping wrong code.
 """
 
 from repro.errors import CompileError

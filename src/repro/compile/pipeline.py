@@ -13,9 +13,7 @@ for its source anywhere in an F program.
 
 The JIT (paper sec 6) is a policy on top: :func:`is_jit_eligible` picks
 the first-order all-``int`` lambdas it swaps for compiled code, and
-:func:`jit_rewrite` walks a program doing the swap.  The guarded JIT
-(:mod:`repro.resilience.safety_net`) runs the same walk with fault
-handling.
+:func:`jit_rewrite` walks a program doing the swap.
 
 Instrumentation: a ``compile.pipeline`` span wraps the run with child
 spans per pass; ``compile.*`` counters count compilations, hoisted code
@@ -31,7 +29,7 @@ typing, optimize) -- sound because the per-compilation
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Dict, Optional, Tuple
+from typing import ClassVar, Dict, Optional, Tuple
 
 from repro.caching import LRUCache
 from repro.errors import CompileError, FunTALError
@@ -212,23 +210,13 @@ def is_jit_eligible(e: FExpr) -> bool:
     return body_ok(e.body)
 
 
-def jit_rewrite(e: FExpr,
-                jit: Optional[Callable[[Lam], Optional[FExpr]]] = None
-                ) -> FExpr:
-    """Replace every JIT-eligible lambda in ``e`` -- the paper's picture
-    of a JIT moving a program between multi-language configurations.
-
-    ``jit`` maps an eligible lambda to its replacement, or to ``None``
-    to leave it interpreted; the default swaps in
-    :func:`compile_function`'s drop-in wrapper."""
-    if jit is None:
-        def jit(lam: Lam) -> FExpr:
-            return compile_function(lam).wrapped
-
+def jit_rewrite(e: FExpr) -> FExpr:
+    """Replace every JIT-eligible lambda in ``e`` with
+    :func:`compile_function`'s drop-in wrapper -- the paper's picture of
+    a JIT moving a program between multi-language configurations."""
     def walk(e: FExpr) -> FExpr:
         if is_jit_eligible(e):
-            replacement = jit(e)
-            return e if replacement is None else replacement
+            return compile_function(e).wrapped
         if isinstance(e, (Var, IntE, UnitE)):
             return e
         if isinstance(e, BinOp):

@@ -27,10 +27,8 @@ budget, the check retries that side with ``slack``-times the fuel
 before calling the pair a counterexample: a budget artifact then halts
 with the same value, a genuine divergence keeps diverging.
 
-A failure on any axis quarantines the source lambda through the PR 3
-safety net (:data:`repro.resilience.safety_net.QUARANTINE`), so the JIT
-will refuse to install the bad artifact on later sightings, and raises
-nothing: callers branch on :attr:`ValidationReport.ok`.
+A failure on any axis is reported, not raised: callers branch on
+:attr:`ValidationReport.ok`.
 
 Host-stack note: running compiled code nests an F evaluator inside the
 T machine per boundary crossing, so deeply recursive *compiled* runs
@@ -58,7 +56,6 @@ from repro.f.syntax import (
     App, FArrow, FExpr, FInt, FType, ftype_equal, IntE, Lam,
 )
 from repro.ft.typecheck import check_ft_expr
-from repro.resilience.safety_net import QUARANTINE, Quarantine
 from repro.compile.pipeline import CompilationResult, compile_term
 
 __all__ = ["ValidationReport", "validate_compilation"]
@@ -89,7 +86,6 @@ class ValidationReport:
     trials: int = 0                      # differential argument vectors
     equiv: Optional[EquivalenceReport] = None
     failure: Optional[str] = None        # first failing axis, pretty form
-    quarantined: bool = False
     disagreements: List[str] = field(default_factory=list)
 
     def to_json(self) -> Dict[str, object]:
@@ -101,7 +97,6 @@ class ValidationReport:
             "equivalent": None if self.equiv is None else self.equiv.equivalent,
             "equiv_trials": 0 if self.equiv is None else self.equiv.trials,
             "failure": self.failure,
-            "quarantined": self.quarantined,
         }
 
     def __str__(self) -> str:
@@ -152,13 +147,9 @@ def _agree(prog_src: FExpr, prog_cmp: FExpr, fuel: int,
     return obs_src.agrees_with(obs_cmp), obs_src, obs_cmp
 
 
-def _fail(report: ValidationReport, source: FExpr, reason: str,
-          quarantine: Quarantine) -> ValidationReport:
+def _fail(report: ValidationReport, reason: str) -> ValidationReport:
     report.ok = False
     report.failure = reason
-    if isinstance(source, Lam):
-        quarantine.add(source, f"translation validation: {reason}")
-        report.quarantined = True
     if OBS.enabled:
         OBS.metrics.inc("compile.validate.fail")
     return report
@@ -172,18 +163,14 @@ def validate_compilation(
         seed: int = 0,
         slack: int = 20,
         equiv_budget: int = 2,
-        max_contexts: Optional[int] = 6,
-        quarantine: Optional[Quarantine] = None) -> ValidationReport:
+        max_contexts: Optional[int] = 6) -> ValidationReport:
     """Validate one compilation (compiling ``target`` first if needed).
 
     Returns a :class:`ValidationReport`; never raises on a *validation*
-    failure (compilation errors still propagate).  On failure the source
-    lambda is quarantined in ``quarantine`` (default: the global
-    :data:`~repro.resilience.safety_net.QUARANTINE`).
+    failure (compilation errors still propagate).
     """
     result = (target if isinstance(target, CompilationResult)
               else compile_term(target, gamma))
-    q = quarantine if quarantine is not None else QUARANTINE
     report = ValidationReport(tier=result.tier)
     source, wrapped, ty = result.source, result.wrapped, result.ty
 
@@ -195,12 +182,10 @@ def validate_compilation(
             actual, _ = check_ft_expr(
                 wrapped, gamma=full_gamma if full_gamma else None)
         except FunTALError as err:
-            return _fail(report, source,
-                         f"compiled term does not typecheck: {err}", q)
+            return _fail(report, f"compiled term does not typecheck: {err}")
         if not ftype_equal(actual, ty):
-            return _fail(report, source,
-                         f"compiled term has type {actual}, "
-                         f"source has {ty}", q)
+            return _fail(report, f"compiled term has type {actual}, "
+                                 f"source has {ty}")
         report.typechecked = True
         if OBS.enabled:
             OBS.metrics.inc("compile.validate")
@@ -222,16 +207,16 @@ def validate_compilation(
                         detail = (f"on arguments {args}: source {obs_src}, "
                                   f"compiled {obs_cmp}")
                         report.disagreements.append(detail)
-                        return _fail(report, source,
-                                     f"differential disagreement {detail}", q)
+                        return _fail(
+                            report, f"differential disagreement {detail}")
             else:
                 ok, obs_src, obs_cmp = _agree(source, wrapped, fuel, slack)
                 report.trials += 1
                 if not ok:
                     detail = f"source {obs_src}, compiled {obs_cmp}"
                     report.disagreements.append(detail)
-                    return _fail(report, source,
-                                 f"differential disagreement {detail}", q)
+                    return _fail(
+                        report, f"differential disagreement {detail}")
 
             # Axis 3: bounded contextual equivalence (F and T observers),
             # with the same slack policy applied per context.
@@ -251,8 +236,7 @@ def validate_compilation(
                 equiv.agreements.append((name, obs_src))
         report.equiv = equiv
         if not equiv.equivalent:
-            return _fail(report, source,
-                         f"contextual counterexample: "
-                         f"{equiv.counterexample}", q)
+            return _fail(report, f"contextual counterexample: "
+                                 f"{equiv.counterexample}")
 
     return report

@@ -134,7 +134,9 @@ class FTMachine(TalMachine):
     def _finish_import(self, rd: str, ty, value: FExpr) -> None:
         word = f_to_t(value, ty, self.memory)
         self.memory.set_reg(rd, word)
-        self.emit("boundary", None, detail=f"TF[{ty}] -> {rd} = {word}")
+        if self.listening:
+            self.emit("boundary", None,
+                      detail=f"TF[{ty}] -> {rd} = {word}")
 
     # ------------------------------------------------------------------
     # F side
@@ -283,7 +285,8 @@ class FTMachine(TalMachine):
 
     def _finish_boundary(self, ty, halted: HaltedState) -> FExpr:
         value = t_to_f(halted.word, ty, self.memory)
-        self.emit("boundary", None, detail=f"FT[{ty}] -> {value}")
+        if self.listening:
+            self.emit("boundary", None, detail=f"FT[{ty}] -> {value}")
         return value
 
     # ------------------------------------------------------------------

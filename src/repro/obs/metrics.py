@@ -62,13 +62,6 @@ The resilience layer (:mod:`repro.resilience`) adds its own family
 ``resilience.snapshot.bytes``        snapshot payload sizes (histogram)
 ``resilience.chaos.injected``        chaos faults fired (also per-seam:
                                      ``resilience.chaos.injected.<seam>``)
-``resilience.jit_fallback.compile``  lambdas quarantined at compile time
-``resilience.jit_fallback.run``      guarded runs that fell back to the
-                                     interpreter after a run-time fault
-``jit.quarantine.added``             lambdas added to the circuit breaker
-``jit.quarantine.hits``              rewrites that skipped a quarantined
-                                     lambda
-``jit.quarantine.size``              current circuit-breaker size (gauge)
 ===================================  ========================================
 
 The environment-machine fast path (:mod:`repro.f.cek` and the memo

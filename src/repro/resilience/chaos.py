@@ -6,8 +6,8 @@ runtime's failure seams; in normal operation a probe is one attribute
 read and a ``None`` check.  Under a :class:`FaultPlane` each probe rolls
 a *seeded* PRNG and, with the configured probability, raises
 :class:`~repro.errors.InjectedFault` -- a structured FunTALError, so the
-fault travels the same degradation path a real failure would (fallback,
-quarantine, structured job result) and never an unhandled crash.
+fault travels the same degradation path a real failure would (retry,
+store-less rebuild, structured job result) and never an unhandled crash.
 
 Determinism: the plane is driven by ``random.Random(seed)`` and the
 probe order of a single-threaded run is fixed, so the same (program,
@@ -22,10 +22,8 @@ Seams (see :data:`SEAMS`):
 ``boundary.translate``
     f_to_t/t_to_f -- a value crossing the F/T boundary is lost.
 ``jit.compile``
-    jit/compiler.py -- the compiler backend faults; the safety net must
-    fall back to the interpreter with an identical result.
-``jit.run``
-    execution of already-jitted code faults at call time.
+    compile/pipeline.py::compile_term -- the compiler backend faults;
+    the caller gets a structured error, never a wrong answer.
 ``snapshot.pickle``
     checkpoint capture -- the pickler dies mid-snapshot.
 ``snapshot.restore``
@@ -57,7 +55,6 @@ SEAMS: Dict[str, str] = {
     "heap.alloc": "heap cell allocation (Memory.alloc / Memory.bind)",
     "boundary.translate": "F<->T boundary value translation",
     "jit.compile": "JIT compilation of an F lambda",
-    "jit.run": "execution of previously-jitted code",
     "snapshot.pickle": "machine checkpoint capture (pickling)",
     "snapshot.restore": "machine checkpoint restore (unpickling)",
     "store.io": "artifact-store reads/writes (ArtifactStore.get / put)",

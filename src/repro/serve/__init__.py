@@ -6,12 +6,13 @@ and machine stepper.  Its natural production shape is therefore a
 This package is that service, built from four layers:
 
 * :mod:`repro.serve.protocol` -- typed :class:`Job` / :class:`JobResult`
-  dataclasses and the JSON-lines wire format.  Five job kinds mirror the
-  CLI: ``parse``, ``typecheck``, ``run``, ``jit``, and ``equiv``, each
-  carrying fuel/timeout options.
+  dataclasses and the JSON-lines wire format.  Seven job kinds:
+  ``parse``, ``typecheck``, ``run``, ``compile``, ``equiv`` and ``link``
+  mirror the CLI, and ``resume`` continues a fuel-suspended ``run``;
+  each carries fuel/timeout options.
 * :mod:`repro.serve.cache` -- a content-addressed LRU result cache keyed
   on ``(kind, source hash, options)``.  Its generic :class:`LRUCache` also
-  backs the JIT's compile cache (it absorbed the previous ad-hoc FIFO).
+  backs the compile cache.
 * :mod:`repro.serve.pool` -- a multiprocessing worker pool with per-job
   wall-clock timeouts and crash isolation: a worker that dies or hangs is
   reaped and respawned, its job retried with backoff up to a retry budget,

@@ -33,9 +33,7 @@ Job kinds mirror the CLI subcommands:
 ``run`` and ``resume`` respect the unified resource governors
 (``options.fuel`` / ``heap`` / ``depth``); with ``options.checkpoint``
 a fuel-exhausted run comes back ``suspended`` with a resumable,
-content-addressed snapshot instead of failing, and with ``options.jit``
-an expression runs under the JIT safety net (faults fall back to the
-interpreter and quarantine the offending lambda).
+content-addressed snapshot instead of failing.
 
 Programs come either inline (``source``) or as a built-in paper example
 (``example``), resolved through the registry in
@@ -187,11 +185,9 @@ def _outcome_dict(outcome) -> Dict[str, Any]:
     return {"value": str(outcome)}
 
 
-def _tier_envelope(job: Job, machine=None, *,
-                   compile_tier=None) -> Dict[str, Any]:
-    """The effective tier of a serve answer, surfaced in every
-    run/resume envelope so a degraded answer is distinguishable from a
-    first-class fast one."""
+def _tier_envelope(job: Job, machine=None) -> Dict[str, Any]:
+    """The engines that produced a serve answer, surfaced in every
+    run/resume envelope."""
     from repro.f.cek import resolve_engine
     from repro.tal.machine import resolve_tal_engine
 
@@ -199,8 +195,7 @@ def _tier_envelope(job: Job, machine=None, *,
         or resolve_engine(job.options.engine)
     tal = getattr(machine, "tal_engine", None) \
         or resolve_tal_engine(job.options.tal_engine)
-    return {"f_engine": f_engine, "compile_tier": compile_tier,
-            "tal_engine": tal}
+    return {"f_engine": f_engine, "tal_engine": tal}
 
 
 def _do_run(job: Job, progress: Optional[Progress] = None) -> Dict[str, Any]:
@@ -208,26 +203,6 @@ def _do_run(job: Job, progress: Optional[Progress] = None) -> Dict[str, Any]:
 
     node, is_component = _resolve_program(job)
     trace = job.options.trace
-    if job.options.jit and not is_component and not job.options.degraded:
-        from repro.compile.pipeline import TIER_GENERAL
-        from repro.resilience.safety_net import run_guarded
-
-        value, machine, report = run_guarded(
-            node, job.options.fuel or DEFAULT_FUEL,
-            job.options.heap, job.options.depth, trace,
-            tal_engine=job.options.tal_engine)
-        out = {"value": str(value), "jit": report.to_json()}
-        degraded_run = bool(getattr(report, "fell_back", False))
-        if degraded_run:
-            out["degraded"] = True
-        out["steps"] = machine.budget.fuel_used
-        compile_tier = None
-        if getattr(report, "jitted", 0) and not degraded_run:
-            compile_tier = TIER_GENERAL
-        out["tier"] = _tier_envelope(job, machine,
-                                     compile_tier=compile_tier)
-        return out
-
     machine = FTMachine(trace=trace, budget=_job_budget(job),
                         engine=job.options.engine,
                         tal_engine=job.options.tal_engine)
@@ -255,9 +230,6 @@ def _do_run(job: Job, progress: Optional[Progress] = None) -> Dict[str, Any]:
                 raise _suspend(machine, {}, job) from None
             raise
         out["steps"] = machine.budget.fuel_used
-    if job.options.degraded and job.options.jit:
-        # Breaker-forced interpreter tier: same answer, no JIT.
-        out["degraded"] = True
     out["tier"] = _tier_envelope(job, machine)
     if trace:
         from repro.analysis.trace import control_flow_table, format_table

@@ -46,9 +46,7 @@ Supervision policy (:mod:`repro.serve.supervisor`) layers on top:
   (``serve.recovery.mttr.ms``);
 * **circuit breaker** -- worker-fatal attempts are charged to the job's
   *kind*; past a threshold the kind is refused (``overloaded`` with
-  ``retry_after_ms``), except ``run`` jobs requesting the JIT, which
-  *degrade* to the interpreter tier instead when the ``compile``
-  breaker is the open one;
+  ``retry_after_ms``);
 * **digest quarantine** -- a job whose retry budget died fatally is
   quarantined by content digest (fault-injection options included), so
   resubmitting a poison job cannot keep killing workers;
@@ -110,8 +108,8 @@ class Ticket:
     """A future for one submitted job."""
 
     __slots__ = ("job", "attempts", "not_before", "start_ns", "span_id",
-                 "deadline_at", "checkpoint", "recovering", "degrade",
-                 "_event", "_lock", "_result", "_callbacks")
+                 "deadline_at", "checkpoint", "recovering", "_event",
+                 "_lock", "_result", "_callbacks")
 
     def __init__(self, job: Job):
         self.job = job
@@ -124,7 +122,6 @@ class Ticket:
         #: after worker death resumes from here instead of restarting.
         self.checkpoint: Optional[Dict[str, Any]] = None
         self.recovering = False     # current dispatch is a resume rewrite
-        self.degrade = False        # dispatch with the JIT tier disabled
         # Pre-allocate the serve.job span id while a trace is being
         # recorded, so worker-side spans can be stitched under it.
         self.span_id = next(obs_events._span_ids) \
@@ -412,8 +409,8 @@ class WorkerPool:
 
     def _admit(self, job: Job, ticket: Ticket) -> bool:
         """Admission control: resolve ``ticket`` immediately (True) or
-        clear it for the queue (False), marking degraded dispatch and
-        the admission deadline on the way."""
+        clear it for the queue (False), marking the admission deadline
+        on the way."""
         key = job_fault_key(job)
         if key in self._quarantine:
             self._inc("serve.jobs.quarantined")
@@ -427,22 +424,15 @@ class WorkerPool:
             if hit is not None:
                 ticket._resolve(hit)
                 return True
-        if self._breaker.enabled:
-            if job.kind == "run" and job.options.jit \
-                    and self._breaker.is_open("compile"):
-                # Graceful degradation: the compile tier is poisoned,
-                # the interpreter tier is not -- serve, don't refuse.
-                ticket.degrade = True
-                self._inc("serve.degraded.breaker")
-            if self._breaker.is_open(job.kind):
-                self._inc("serve.breaker.rejected")
-                ticket._resolve(JobResult.failure(
-                    job, "overloaded",
-                    f"circuit breaker open for job kind {job.kind!r}",
-                    error_type="BreakerOpen",
-                    output={"retry_after_ms": max(
-                        50, self._breaker.retry_after_ms(job.kind))}))
-                return True
+        if self._breaker.enabled and self._breaker.is_open(job.kind):
+            self._inc("serve.breaker.rejected")
+            ticket._resolve(JobResult.failure(
+                job, "overloaded",
+                f"circuit breaker open for job kind {job.kind!r}",
+                error_type="BreakerOpen",
+                output={"retry_after_ms": max(
+                    50, self._breaker.retry_after_ms(job.kind))}))
+            return True
         if job.options.deadline_ms:
             ticket.deadline_at = time.monotonic() \
                 + job.options.deadline_ms / 1000.0
@@ -639,12 +629,11 @@ class WorkerPool:
 
         A retry holding a progress checkpoint is rewritten into a
         ``resume`` job from that snapshot (fault-injection options
-        deliberately stripped -- the fault already fired).  Degraded
-        tickets carry ``options.degraded`` so the executor skips the
-        JIT tier.  While instrumentation is on, jobs that do not
-        already carry a trace context get one, so the worker ships its
-        spans/metrics back for stitching (events only while a trace is
-        actually being recorded)."""
+        deliberately stripped -- the fault already fired).  While
+        instrumentation is on, jobs that do not already carry a trace
+        context get one, so the worker ships its spans/metrics back for
+        stitching (events only while a trace is actually being
+        recorded)."""
         job = ticket.job
         if ticket.checkpoint is not None and job.kind in ("run", "resume"):
             opts = job.options
@@ -660,10 +649,6 @@ class WorkerPool:
             wire = resume.to_dict()
         else:
             wire = job.to_dict()
-            if ticket.degrade:
-                options = dict(wire.get("options") or {})
-                options["degraded"] = True
-                wire["options"] = options
         if OBS.enabled and "trace_ctx" not in wire:
             wire["trace_ctx"] = {
                 "trace_id": self._trace_id,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, ClassVar, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.errors import FunTALError
 
@@ -80,7 +80,6 @@ class JobOptions:
     depth: Optional[int] = None         # stack-depth ceiling (Budget)
     checkpoint: bool = False            # run/resume: suspend + snapshot on
                                         # fuel exhaustion instead of failing
-    jit: bool = False                   # run: execute under the guarded JIT
     timeout: Optional[float] = None     # wall-clock seconds (pool enforced)
     result_type: str = "int"            # halt type for bare T components
     trace: bool = False                 # run: include the control-flow table
@@ -101,8 +100,6 @@ class JobOptions:
                                         # snapshot every N fuel, so a
                                         # killed worker's job resumes
                                         # from its last checkpoint
-    degraded: bool = False              # dispatch-side: forced interpreter
-                                        # tier (open compile/jit breaker)
     inject_crash: bool = False          # fault injection: kill the worker
     inject_sleep: float = 0.0           # fault injection: stall the worker
     inject_hang: bool = False           # fault injection: SIGSTOP the
@@ -114,11 +111,6 @@ class JobOptions:
     chaos_rate: float = 0.0             # worker-side FaultPlane rate
     chaos_seed: int = 0                 # worker-side FaultPlane seed
     chaos_seams: Optional[str] = None   # comma-separated seam subset
-
-    #: Back-compat alias for the audited module-level constant
-    #: :data:`NON_SEMANTIC_OPTIONS` (defined after the class, which it
-    #: describes).  Prefer the module-level names in new code.
-    NON_SEMANTIC: ClassVar[tuple] = ()   # rebound below
 
     def to_dict(self) -> Dict[str, Any]:
         """Wire dict containing only the non-default entries."""
@@ -132,7 +124,7 @@ class JobOptions:
     def semantic_dict(self) -> Dict[str, Any]:
         """The entries that feed the cache key."""
         return {k: v for k, v in self.to_dict().items()
-                if k not in self.NON_SEMANTIC}
+                if k not in NON_SEMANTIC_OPTIONS}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "JobOptions":
@@ -147,7 +139,7 @@ class JobOptions:
 #: Options that change *what* a job computes: they feed the result-cache
 #: content address (:meth:`JobOptions.semantic_dict`).
 SEMANTIC_OPTIONS = (
-    "fuel", "heap", "depth", "checkpoint", "jit", "result_type", "trace",
+    "fuel", "heap", "depth", "checkpoint", "result_type", "trace",
     "validate", "ir", "seed", "type", "right", "run",
 )
 
@@ -167,18 +159,13 @@ SEMANTIC_OPTIONS = (
 #:   makes its hits semantically invisible.
 #: * ``checkpoint_every`` -- preserves exact slicing (same value, same
 #:   total steps); ``deadline_ms`` is pure admission control.
-#: * ``degraded`` -- degraded results never enter the cache (the pool
-#:   skips the put), so the flag staying out of the key cannot poison
-#:   it.
 NON_SEMANTIC_OPTIONS = (
     "timeout", "no_cache", "engine", "tal_engine", "store",
-    "deadline_ms", "checkpoint_every", "degraded",
+    "deadline_ms", "checkpoint_every",
     "inject_crash", "inject_sleep", "inject_hang",
     "inject_corrupt", "inject_crash_at",
     "chaos_rate", "chaos_seed", "chaos_seams",
 )
-
-JobOptions.NON_SEMANTIC = NON_SEMANTIC_OPTIONS
 
 
 @dataclass
@@ -230,14 +217,6 @@ class Job:
             raise ProtocolError(
                 "link jobs take 'source' (the manifest JSON), not "
                 "'example'")
-        if self.options.jit and (self.options.checkpoint
-                                 or self.options.checkpoint_every):
-            flag = "checkpoint" if self.options.checkpoint \
-                else "checkpoint_every"
-            raise ProtocolError(
-                f"options.{flag} and options.jit are mutually "
-                "exclusive (the guarded JIT re-runs on faults, so its "
-                "machine state is not checkpointable)")
 
     def to_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {"kind": self.kind}

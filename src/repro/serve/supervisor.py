@@ -10,8 +10,8 @@ respawns) stays in :mod:`repro.serve.pool`; this module holds the
   shed policy of the bounded queue.
 * :class:`CircuitBreaker` -- counts worker-fatal attempts per job
   *kind* inside a sliding window; past the threshold the kind's
-  breaker opens for a cooldown and admission control refuses (or
-  degrades) new work of that kind instead of feeding it to workers.
+  breaker opens for a cooldown and admission control refuses new work
+  of that kind instead of feeding it to workers.
 * :class:`DigestQuarantine` -- job digests that exhausted their retry
   budget fatally (crash/hang) are quarantined, so a poison job cannot
   keep killing workers via resubmission.
@@ -80,7 +80,7 @@ class SupervisorConfig:
     breaker_window: float = 30.0
     #: Seconds an open breaker refuses the kind before half-opening.
     breaker_cooldown: float = 5.0
-    #: Quarantine job digests whose retry budget died fatally.
+    #: Put job digests whose retry budget died fatally in quarantine.
     quarantine_fatal: bool = True
     #: Bounded-queue policy: ``"reject"`` (block or raise QueueFull) or
     #: ``"shed-oldest"`` (evict the oldest pending job as ``overloaded``
@@ -100,7 +100,7 @@ class CircuitBreaker:
     ``record_fatal(kind)`` notes one crash/hang attempt; once a kind
     accumulates ``threshold`` of them inside ``window`` seconds its
     breaker opens for ``cooldown`` seconds.  While open, ``is_open``
-    is true and admission control sheds (or degrades) the kind.  A
+    is true and admission control sheds the kind.  A
     successful result (``record_ok``) closes the breaker and clears
     the kind's history -- the classic half-open probe: the first job
     admitted after the cooldown decides whether it reopens.

@@ -1165,7 +1165,9 @@ def _walk_ref(machine, state: InstrSeq, ft: bool):
                 if t.__class__ is Halt:
                     word = mem.get_reg(t.r)
                     hs = HaltedState(word, t.ty, t.sigma, t.r)
-                    machine.emit("halt", None, detail=f"{t.r} -> {word}")
+                    if machine.listening:
+                        machine.emit("halt", None,
+                                     detail=f"{t.r} -> {word}")
                     return ("halt", hs)
                 if t.__class__ is Jmp:
                     loc, omegas = machine.resolve_code_target(t.u)

@@ -211,6 +211,15 @@ class TalMachine:
 
     # -- tracing ------------------------------------------------------
 
+    @property
+    def listening(self) -> bool:
+        """Would :meth:`emit` keep or publish an event now?  Sites whose
+        detail formats a value check this first: untraced runs must not
+        pay for -- or trip over -- printing an integer past Python's
+        int-to-str digit limit."""
+        return (self.trace_enabled and not self._truncated) \
+            or (OBS.enabled and OBS.bus.active)
+
     def emit(self, kind: str, target: Optional[str] = None,
              detail: str = "") -> None:
         publish = OBS.enabled and OBS.bus.active
@@ -399,7 +408,8 @@ class TalMachine:
         if isinstance(t, Halt):
             word = self.memory.get_reg(t.r)
             state = HaltedState(word, t.ty, t.sigma, t.r)
-            self.emit("halt", None, detail=f"{t.r} -> {word}")
+            if self.listening:
+                self.emit("halt", None, detail=f"{t.r} -> {word}")
             return state
         if isinstance(t, Jmp):
             loc, omegas = self.resolve_code_target(t.u)

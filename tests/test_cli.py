@@ -145,10 +145,9 @@ class TestStats:
         assert main(["stats", "--json"]) == 0
         snapshot = json.loads(capsys.readouterr().out)
         assert set(snapshot) == {"counters", "gauges", "histograms",
-                                 "jit_compile_cache", "jit_quarantine"}
+                                 "jit_compile_cache"}
         assert set(snapshot["jit_compile_cache"]) >= {"hits", "misses",
                                                       "size"}
-        assert set(snapshot["jit_quarantine"]) >= {"size", "hits"}
 
     def test_example_json(self, capsys):
         assert main(["stats", "fig17", "--json"]) == 0

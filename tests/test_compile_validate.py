@@ -2,12 +2,11 @@
 
 The validator's contract: a correct artifact passes all three axes
 (typecheck, differential execution, bounded contextual equivalence); a
-miscompiled artifact fails, reports the disagreement, and quarantines
-the source lambda through the resilience safety net; open compilations
-get the static axis only.  The serve tests pin the job-kind surface:
-semantic options (``validate``/``ir``) feed the content
-address, component inputs fail cleanly, and validation failures come
-back as job errors rather than worker crashes.
+miscompiled artifact fails and reports the disagreement; open
+compilations get the static axis only.  The serve tests pin the job-kind
+surface: semantic options (``validate``/``ir``) feed the content address,
+component inputs fail cleanly, and validation failures come back as job
+errors rather than worker crashes.
 """
 
 import pytest
@@ -15,7 +14,6 @@ import pytest
 from repro.f.syntax import App, BinOp, FArrow, FInt, IntE, Lam, Var
 from repro.compile.pipeline import CompilationResult, compile_term
 from repro.compile.validate import validate_compilation
-from repro.resilience.safety_net import Quarantine
 from repro.serve.cache import job_cache_key
 from repro.serve.executor import execute_job
 from repro.serve.protocol import Job, JobOptions
@@ -35,7 +33,7 @@ def _forged_result() -> CompilationResult:
 
 class TestValidationPasses:
     def test_arith_lambda(self):
-        report = validate_compilation(INC, quarantine=Quarantine())
+        report = validate_compilation(INC)
         assert report.ok and report.typechecked
         assert report.tier == "general"
         assert report.trials >= 1
@@ -44,25 +42,23 @@ class TestValidationPasses:
     def test_general_lambda(self):
         ho = Lam((("g", FArrow((FInt(),), FInt())),),
                  App(Var("g"), (IntE(5),)))
-        report = validate_compilation(ho, quarantine=Quarantine())
+        report = validate_compilation(ho)
         assert report.ok and report.tier == "general"
         assert report.trials >= 1
 
     def test_non_function_expression(self):
-        report = validate_compilation(
-            BinOp("*", IntE(6), IntE(7)), quarantine=Quarantine())
+        report = validate_compilation(BinOp("*", IntE(6), IntE(7)))
         assert report.ok
         assert report.trials == 1     # single whole-program observation
 
     def test_open_term_is_static_only(self):
         report = validate_compilation(
-            BinOp("+", Var("y"), IntE(1)), gamma={"y": FInt()},
-            quarantine=Quarantine())
+            BinOp("+", Var("y"), IntE(1)), gamma={"y": FInt()})
         assert report.ok and report.typechecked
         assert report.trials == 0 and report.equiv is None
 
     def test_report_json_and_str(self):
-        report = validate_compilation(INC, quarantine=Quarantine())
+        report = validate_compilation(INC)
         data = report.to_json()
         assert data["ok"] is True and data["tier"] == "general"
         assert data["equivalent"] is True
@@ -70,27 +66,15 @@ class TestValidationPasses:
 
 
 class TestValidationCatchesMiscompiles:
-    def test_forged_artifact_fails_and_quarantines(self):
-        q = Quarantine()
-        report = validate_compilation(_forged_result(), quarantine=q)
+    def test_forged_artifact_fails(self):
+        report = validate_compilation(_forged_result())
         assert not report.ok
         assert report.typechecked        # the wrong artifact still types
         assert "disagreement" in report.failure
         assert report.disagreements
-        assert report.quarantined and INC in q
-
-    def test_quarantine_blocks_later_jit_installs(self):
-        from repro.resilience.safety_net import jit_rewrite_guarded
-
-        q = Quarantine()
-        validate_compilation(_forged_result(), quarantine=q)
-        rewritten, compiled, report = jit_rewrite_guarded(INC, q)
-        assert report.skipped == 1 and report.jitted == 0
-        assert compiled == []
 
     def test_validation_failure_does_not_raise(self):
-        report = validate_compilation(_forged_result(),
-                                      quarantine=Quarantine())
+        report = validate_compilation(_forged_result())
         assert "VALIDATION FAILED" in str(report)
         assert report.to_json()["ok"] is False
 

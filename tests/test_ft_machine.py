@@ -1,6 +1,8 @@
 """Unit tests for the FT mixed-language machine (paper Fig 8):
 boundary reductions, import/protect execution, shared fuel, traces."""
 
+import math
+
 import pytest
 
 from repro.errors import FuelExhausted, MachineError
@@ -114,6 +116,16 @@ class TestPaperPrograms:
             vf, _ = evaluate_ft(App(ff, (IntE(n),)))
             vt, _ = evaluate_ft(App(ft, (IntE(n),)))
             assert vf == vt == IntE(fig17_factorial.expected(n))
+
+    @pytest.mark.parametrize("engine", ["cek", "subst"])
+    @pytest.mark.parametrize("tal_engine", ["ref", "fast"])
+    def test_fig17_fact_t_past_int_print_limit(self, engine, tal_engine):
+        """2000! has 5736 digits, past Python's int-to-str limit: an
+        untraced run must never format the values it computes."""
+        value, _ = evaluate_ft(
+            App(fig17_factorial.build_fact_t(), (IntE(2000),)),
+            engine=engine, tal_engine=tal_engine)
+        assert value == IntE(math.factorial(2000))
 
     def test_fig11_jit_result(self):
         value, _ = evaluate_ft(fig11_jit.build_jit())

@@ -96,7 +96,7 @@ class TestSeamsAreWired:
 
     def test_seam_registry(self):
         assert set(SEAMS) == {"heap.alloc", "boundary.translate",
-                              "jit.compile", "jit.run", "snapshot.pickle",
+                              "jit.compile", "snapshot.pickle",
                               "snapshot.restore", "store.io"}
 
     def test_snapshot_restore_seam(self):

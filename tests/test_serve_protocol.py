@@ -98,9 +98,6 @@ class TestJobOptionsPartition:
         phantom = (semantic | non_semantic) - names
         assert not phantom, f"classified but nonexistent: {sorted(phantom)}"
 
-    def test_class_constant_is_the_audited_list(self):
-        assert tuple(JobOptions.NON_SEMANTIC) == NON_SEMANTIC_OPTIONS
-
     def test_cache_key_ignores_exactly_the_non_semantic(self):
         """The result-cache key must change with any semantic option
         and with no non-semantic one."""
@@ -111,7 +108,7 @@ class TestJobOptionsPartition:
 
         probes = {
             "fuel": 123, "heap": 44, "depth": 45, "checkpoint": True,
-            "jit": True, "result_type": "unit", "trace": True,
+            "result_type": "unit", "trace": True,
             "validate": True, "ir": True, "seed": 9, "type": "int",
             "right": "(2 + 2)", "run": False,
         }
@@ -124,11 +121,11 @@ class TestJobOptionsPartition:
         non_probes = {
             "timeout": 9.0, "no_cache": True, "engine": "subst",
             "tal_engine": "fast", "store": "/tmp/x", "deadline_ms": 5,
-            "checkpoint_every": 10, "degraded": True,
+            "checkpoint_every": 10,
             "inject_crash": True, "inject_sleep": 1.0,
             "inject_hang": True, "inject_corrupt": True,
             "inject_crash_at": 2, "chaos_rate": 0.5, "chaos_seed": 3,
-            "chaos_seams": "jit.run",
+            "chaos_seams": "jit.compile",
         }
         for name in NON_SEMANTIC_OPTIONS:
             job = Job("run", source="(1 + 2)")
@@ -165,7 +162,9 @@ class TestRemovedTieringSurface:
 
 class TestRemovedJitSurface:
     """The ``jit`` job kind, its options and ``funtal jit`` duplicated
-    ``compile`` and are gone; their wire and CLI surface is refused,
+    ``compile``; the guarded runtime JIT (``options.jit``, the pool's
+    ``degraded`` downgrade, ``submit --jit``) was slower than the
+    interpreter.  All are gone; their wire and CLI surface is refused,
     never silently ignored."""
 
     def test_jit_kind_refused(self):
@@ -175,7 +174,9 @@ class TestRemovedJitSurface:
 
     @pytest.mark.parametrize("options", [{"tier": "arith"},
                                          {"optimize": True},
-                                         {"check": True}])
+                                         {"check": True},
+                                         {"jit": True},
+                                         {"degraded": True}])
     def test_options_refused(self, options):
         with pytest.raises(ProtocolError, match="unknown job option"):
             JobOptions.from_dict(options)
@@ -184,7 +185,9 @@ class TestRemovedJitSurface:
         ["jit", "F"],
         ["compile", "F", "--tier", "arith"],
         ["submit", "F", "--kind", "jit"],
-    ], ids=["jit-command", "compile-tier", "submit-kind-jit"])
+        ["submit", "--example", "jit-source", "--jit"],
+    ], ids=["jit-command", "compile-tier", "submit-kind-jit",
+            "submit-jit-flag"])
     def test_cli_usage_error(self, argv, capsys):
         from repro.cli import main
 
@@ -192,6 +195,12 @@ class TestRemovedJitSurface:
             main(argv)
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+    def test_safety_net_module_is_gone(self):
+        import importlib
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.resilience.safety_net")
 
 
 class TestJobResult:

@@ -38,11 +38,6 @@ class TestProtocol:
         with pytest.raises(ProtocolError):
             Job("run", source="(1 + 2)", snapshot={"kind": "ft"})
 
-    def test_checkpoint_and_jit_are_exclusive(self):
-        with pytest.raises(ProtocolError):
-            Job("run", source="(1 + 2)",
-                options=JobOptions(checkpoint=True, jit=True))
-
     def test_resume_wire_roundtrip(self):
         job = Job("resume", id="r1",
                   snapshot={"kind": "ft", "digest": "d", "data": ""},
@@ -118,13 +113,6 @@ class TestExecutorSuspendResume:
         assert result.status == "resource_exhausted"
         assert result.output["resource"] == "heap"
         assert result.error_type == "HeapExhausted"
-
-    def test_jit_guarded_run(self):
-        result = execute_job(Job("run", example="jit-source",
-                                 options=JobOptions(jit=True)))
-        assert result.status == "ok"
-        assert result.output["value"] == "2"
-        assert result.output["jit"]["jitted"] == 1
 
 
 class TestCrossProcessResume:

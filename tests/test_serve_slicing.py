@@ -6,15 +6,12 @@ the unsliced run reports: the same status, value and ``steps``, and the
 same fuel verdict at any budget.  Each slice that runs dry has executed
 exactly its fuel; the refused charge that tripped the governor never
 ran and must not be counted.
-
-The guarded JIT re-runs on faults and never slices, so ``options.jit``
-is refused together with ``checkpoint_every`` (as with ``checkpoint``).
 """
 
 import pytest
 
 from repro.serve.executor import execute_job
-from repro.serve.protocol import Job, JobOptions, ProtocolError
+from repro.serve.protocol import Job, JobOptions
 
 EXAMPLES = ("fact-f", "fig17", "jit")
 SLICES = (1, 3, 8, 16)
@@ -86,16 +83,3 @@ class TestSlicedResumesMatchUnsliced:
         assert whole.ok and whole.output["steps"] == need
         assert _verdict(_resume(snapshot, fuel=need,
                                 checkpoint_every=every)) == _verdict(whole)
-
-
-class TestJitRefusesSlicing:
-    def test_jit_with_checkpoint_every_is_refused(self):
-        with pytest.raises(ProtocolError, match="checkpoint_every"):
-            Job("run", example="fact-f",
-                options=JobOptions(jit=True, checkpoint_every=8))
-
-    def test_refused_on_the_wire_too(self):
-        with pytest.raises(ProtocolError, match="mutually exclusive"):
-            Job.from_dict({"kind": "run", "example": "fact-f",
-                           "options": {"jit": True,
-                                       "checkpoint_every": 8}})
